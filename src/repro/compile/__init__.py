@@ -26,9 +26,8 @@ Guarantees:
 
 Entry points: ``python -m repro compile CASE|all`` (see
 :mod:`repro.compile.cli`), the ``GPUOptions.compiled`` fast path wired
-into :func:`repro.core.pipeline.run_pipeline_modeling` /
-:func:`~repro.core.pipeline.run_pipeline_rtm` and
-:class:`~repro.core.multigpu.MultiGpuPipeline`
+into :func:`repro.core.pipeline.run_pipeline` (and through it the
+execute-mode drivers) and :class:`~repro.core.multigpu.MultiGpuPipeline`
 (:mod:`repro.compile.runner`), and the wall-clock benchmark behind
 ``BENCH_step.json`` (:mod:`repro.compile.bench`).
 """

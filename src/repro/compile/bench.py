@@ -52,11 +52,7 @@ def _run_interpreted(
     options: "GPUOptions",
     runtime_factory: Callable[[], "Runtime"],
 ) -> None:
-    from repro.core.pipeline import (
-        OffloadPipeline,
-        run_pipeline_modeling,
-        run_pipeline_rtm,
-    )
+    from repro.core.pipeline import OffloadPipeline, run_pipeline
 
     pipe = OffloadPipeline(
         runtime_factory(),
@@ -68,12 +64,10 @@ def _run_interpreted(
         options=options,
         pml_variant=request.pml_variant,
     )
-    if request.mode == "rtm":
-        run_pipeline_rtm(pipe, request.nt, request.snap_period)
-    else:
-        run_pipeline_modeling(
-            pipe, request.nt, request.snap_period, request.snapshot_decimate
-        )
+    run_pipeline(
+        pipe, request.mode, request.nt, request.snap_period,
+        request.snapshot_decimate,
+    )
 
 
 def measure_case(

@@ -6,9 +6,9 @@ closures).  The pipeline is:
 
 1. **Segmented recording** (:func:`record_segments`) — drive a twin
    runtime + :class:`~repro.analyze.recorder.ProgramRecorder` through
-   the exact :func:`~repro.core.pipeline.run_pipeline_modeling` /
-   :func:`~repro.core.pipeline.run_pipeline_rtm` schedule, marking which
-   event range each phase-method call produced.
+   the :mod:`repro.core.schedule` walk of
+   :func:`~repro.core.pipeline.run_pipeline`, marking which event range
+   each schedule event produced.
 2. **Template extraction** — every repeated phase (forward step,
    snapshot, snapshot reload, imaging, backward step) must be
    steady-state: all its slices normalize-identical.  Non-uniform
@@ -58,11 +58,9 @@ from repro.compile.lower import (
     lower_events,
 )
 from repro.core.config import GpuTimes, GPUOptions
-from repro.utils.errors import (
-    CompileError,
-    DeviceOutOfMemoryError,
-    StaleArtifactError,
-)
+from repro.core.pipeline import device_times, offload_visitor, walk_offload
+from repro.core.schedule import PHASES, REPEATED_PHASES, figure4, walk
+from repro.utils.errors import CompileError, StaleArtifactError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.acc.runtime import Runtime
@@ -71,11 +69,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.optim.autotune import TuningPlan
 
 #: phases in schedule order; the repeated ones must be steady-state
-PHASE_ORDER = (
-    "allocate", "forward", "snapshot", "swap", "load_snapshot", "imaging",
-    "backward", "finalize",
-)
-REPEATED_PHASES = ("forward", "snapshot", "load_snapshot", "imaging", "backward")
+PHASE_ORDER = PHASES
 
 #: which one-shot prologue a hoisted update lands in, per source phase
 _PROLOGUE_OF = {
@@ -225,12 +219,12 @@ def record_segments(
 ) -> SegmentedRecording:
     """Record the interpreted schedule with per-phase event boundaries.
 
-    Replays the exact control flow of
-    :func:`~repro.core.pipeline.run_pipeline_modeling` /
-    :func:`~repro.core.pipeline.run_pipeline_rtm`.  Failures are *not*
-    soft here: a known-failure persona raises :class:`CompileError` and
-    device OOM propagates (callers map both onto the interpreter's
-    ``failed_times`` semantics).
+    Walks the same schedule with the same visitor as
+    :func:`~repro.core.pipeline.run_pipeline`, each event wrapped to mark
+    the event range it recorded.  Failures are *not* soft here: a
+    known-failure persona raises :class:`CompileError` and device OOM
+    propagates (callers map both onto the interpreter's ``failed_times``
+    semantics).
     """
     from repro.core.pipeline import OffloadPipeline
 
@@ -260,27 +254,19 @@ def record_segments(
     program = recorder.program
     segments: list[Segment] = []
 
-    def run(phase: str, fn, *args, **kwargs) -> None:
-        start = len(program.events)
-        fn(*args, **kwargs)
-        segments.append(Segment(phase, start, len(program.events)))
+    def segmented(phase: str, handler):
+        def run(step) -> None:
+            start = len(program.events)
+            handler(step)
+            segments.append(Segment(phase, start, len(program.events)))
 
-    run("allocate", pipe.allocate_forward)
-    decimate = 1 if request.mode == "rtm" else request.snapshot_decimate
-    for n in range(request.nt):
-        run("forward", pipe.forward_step)
-        if (n + 1) % request.snap_period == 0:
-            run("snapshot", pipe.snapshot_to_host, decimate=decimate)
-    if request.mode == "rtm":
-        run("swap", pipe.swap_to_backward)
-        for n in range(request.nt - 1, -1, -1):
-            if (n + 1) % request.snap_period == 0:
-                run("load_snapshot", pipe.load_forward_snapshot)
-                run("imaging", pipe.imaging_step)
-            run("backward", pipe.backward_step)
-        run("finalize", pipe.finalize, with_image=options.image_on_gpu)
-    else:
-        run("finalize", pipe.finalize, with_image=False)
+        return run
+
+    visit = offload_visitor(pipe, request.mode, request.snapshot_decimate)
+    walk(
+        figure4(request.mode, request.nt, request.snap_period),
+        {phase: segmented(phase, handler) for phase, handler in visit.items()},
+    )
     return SegmentedRecording(
         request=request, program=program, segments=segments, pipeline=pipe
     )
@@ -760,17 +746,17 @@ class BoundPipeline:
         }
 
     def run(self) -> GpuTimes:
-        """Execute the full compiled schedule; same failure semantics as
-        the interpreted drivers (OOM → ``failed_times('oom')``).
+        """Walk the full Figure-4 schedule, each event running its
+        phase's compiled step; same failure semantics as the interpreted
+        drivers (OOM → ``failed_times('oom')``).
 
-        Tracks the previous phase so a cross-phase fusion's partner
-        variant (the phase step minus the launches that moved into the
-        predecessor's fused launch) fires exactly where the recording
-        proved the adjacency.  Prologues are injected steps and do not
-        advance the phase sequence.
+        The visitor tracks the previous phase so a cross-phase fusion's
+        partner variant (the phase step minus the launches that moved
+        into the predecessor's fused launch) fires exactly where the
+        recording proved the adjacency.  The ``allocate`` and ``swap``
+        events also run their phase prologue (the hoisted updates); a
+        prologue does not advance the phase sequence.
         """
-        from repro.core.pipeline import failed_times
-
         req = self.compiled.request
         steps = self.steps
         variants = self.compiled.cross_variants
@@ -782,44 +768,26 @@ class BoundPipeline:
             steps[name if name in steps else phase]()
             prev = phase
 
-        try:
-            step("allocate")
-        except DeviceOutOfMemoryError:
-            return failed_times("oom")
-        if "forward_prologue" in steps:
-            steps["forward_prologue"]()
-        for n in range(req.nt):
-            step("forward")
-            if (n + 1) % req.snap_period == 0:
-                step("snapshot")
-        if req.mode == "rtm":
-            try:
-                step("swap")
-            except DeviceOutOfMemoryError:
-                return failed_times("oom")
-            if "backward_prologue" in steps:
-                steps["backward_prologue"]()
-            for n in range(req.nt - 1, -1, -1):
-                if (n + 1) % req.snap_period == 0:
-                    step("load_snapshot")
-                    step("imaging")
-                step("backward")
-        step("finalize")
-        return self.gpu_times()
+        def visit(phase: str, prologue: str | None = None):
+            def run(_) -> None:
+                step(phase)
+                if prologue in steps:
+                    steps[prologue]()
+
+            return run
+
+        return walk_offload(
+            figure4(req.mode, req.nt, req.snap_period),
+            {
+                **{phase: visit(phase) for phase in PHASE_ORDER},
+                "allocate": visit("allocate", "forward_prologue"),
+                "swap": visit("swap", "backward_prologue"),
+            },
+            self.gpu_times,
+        )
 
     def gpu_times(self) -> GpuTimes:
-        dev = self.rt.device
-        return GpuTimes(
-            total=dev.elapsed,
-            kernel=dev.times.kernel,
-            h2d=dev.times.h2d,
-            d2h=dev.times.d2h,
-            alloc=dev.times.alloc,
-            launches=dev.kernel_launches,
-            success=True,
-            profile=dev.profiler.report(),
-            categories=dict(dev.clock.categories),
-        )
+        return device_times(self.rt.device)
 
 
 # ----------------------------------------------------------------------

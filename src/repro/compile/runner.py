@@ -1,8 +1,7 @@
 """Execution glue: the ``GPUOptions.compiled`` fast path.
 
 :func:`run_pipeline_compiled` is what
-:func:`repro.core.pipeline.run_pipeline_modeling` /
-:func:`~repro.core.pipeline.run_pipeline_rtm` delegate to when
+:func:`repro.core.pipeline.run_pipeline` delegates to when
 ``options.compiled`` is set: compile (memoised per schedule shape),
 then execute the verified :class:`~repro.compile.compiler.BoundPipeline`
 on the pipeline's own runtime.  Binding auto-detects fidelity — a

@@ -5,6 +5,13 @@ and a ``platform`` additionally drives the Figure-4 offload pipeline so the
 run carries modelled GPU timings (numerics are unchanged — the device
 executes the same NumPy arrays). ``estimate_modeling`` runs the pipeline
 alone for paper-scale grids.
+
+The drivers own no time loop: a :class:`ShotVisitor` sets up one shot,
+turns the forward half of its physics into handlers for the
+:mod:`repro.core.schedule` events and walks them with the offload
+pipeline alongside (or, under ``compiled=True``, host-only with the
+compiled runner's timing). :mod:`repro.core.rtm` and the resilient
+wrappers reuse it.
 """
 
 from __future__ import annotations
@@ -13,10 +20,12 @@ import numpy as np
 
 from repro.acc.runtime import Runtime
 from repro.core.config import GPUOptions, GpuTimes, ModelingConfig, ModelingResult
-from repro.core.pipeline import OffloadPipeline, run_pipeline_modeling
+from repro.core.pipeline import OffloadPipeline, run_pipeline
 from repro.core.platform import CRAY_K40, Platform
+from repro.core.schedule import figure4, walk
 from repro.core.snapshots import SnapshotStore, default_snap_period
 from repro.gpusim.device import Device
+from repro.propagators.base import Propagator
 from repro.propagators.factory import make_propagator
 from repro.source.acquisition import Receivers, line_receivers
 from repro.source.injection import PointSource
@@ -129,6 +138,156 @@ def _strict_check(
         )
 
 
+class ShotVisitor:
+    """One shot's forward physics, as Figure-4 event handlers.
+
+    Construction is the shot's set-up, shared by the modeling and RTM
+    drivers and their resilient wrappers: the source-side propagator,
+    the ``snap_period`` (defaulted from its stable ``dt``), source,
+    receivers, seismogram and snapshot store. ``forward`` steps the
+    source wavefield and records the receivers; ``snapshot`` stores the
+    wavefield. Every event also issues its offload-pipeline call through
+    :meth:`device`.
+    """
+
+    mode = "modeling"
+
+    def __init__(self, config: ModelingConfig):
+        if config.model is None:
+            raise ConfigurationError(f"run_{self.mode} needs an EarthModel")
+        self.config = config
+        self.physics = config.physics.lower()
+        self.shape = config.model.grid.shape
+        self.prop = self.propagator()
+        self.snap_period = (
+            config.snap_period
+            if config.snap_period is not None
+            else default_snap_period(self.prop.dt, config.peak_freq)
+        )
+        self.source = _default_source(config, self.prop.dt)
+        self.receivers = (
+            config.receivers
+            if config.receivers is not None
+            else _default_receivers(config)
+        )
+        self.seismogram = np.zeros(
+            (config.nt, self.receivers.count), dtype=np.float32
+        )
+        # RTM images against full fields; the modeling movie is decimated
+        decimate = 1 if self.mode == "rtm" else config.snapshot_decimate
+        self.store = SnapshotStore(self.snap_period, decimate=decimate)
+        self.pipeline: OffloadPipeline | None = None
+
+    def propagator(self) -> Propagator:
+        """A fresh propagator on the shot's model."""
+        config = self.config
+        kwargs = {}
+        if self.physics == "isotropic":
+            kwargs["pml_variant"] = config.pml_variant
+        return make_propagator(
+            self.physics,
+            config.model,
+            dt=config.dt,
+            space_order=config.space_order,
+            boundary_width=config.boundary_width,
+            **kwargs,
+        )
+
+    def offload(self, rt: Runtime, options: GPUOptions) -> OffloadPipeline:
+        """The offload pipeline of this shot's configuration on ``rt``."""
+        config = self.config
+        return OffloadPipeline(
+            rt,
+            self.physics,
+            self.shape,
+            nreceivers=self.receivers.count,
+            space_order=config.space_order,
+            boundary_width=config.boundary_width,
+            options=options,
+            pml_variant=config.pml_variant,
+        )
+
+    def device(self, method: str, phase: str, **kwargs) -> None:
+        """Call ``method`` on the attached pipeline, if any; ``phase`` is
+        the pipeline phase the call expects. The resilience layer
+        replaces this per instance with its guarded dispatcher."""
+        if self.pipeline is not None:
+            getattr(self.pipeline, method)(**kwargs)
+
+    def visit(self) -> dict:
+        return {
+            "allocate": self.allocate,
+            "forward": self.forward,
+            "snapshot": self.snapshot,
+            "finalize": self.finalize,
+        }
+
+    def allocate(self, _) -> None:
+        self.device("allocate_forward", "idle")
+
+    def forward(self, n: int) -> None:
+        amp = self.source.amplitude(n)
+        srcs = [(self.source.index, amp)] if amp != 0.0 else []
+        self.prop.step(srcs)
+        self.seismogram[n, :] = self.receivers.record(self.prop.snapshot_field())
+        self.device("forward_step", "forward", inject_source=bool(srcs))
+
+    def snapshot(self, n: int) -> None:
+        self.store.save(n, self.prop.snapshot_field())
+        self.device("snapshot_to_host", "forward", decimate=self.store.decimate)
+
+    def finalize(self, _) -> None:
+        self.device("finalize", "forward", with_image=False)
+
+    def result(self, gpu: GpuTimes | None, **extras) -> ModelingResult:
+        return ModelingResult(
+            seismogram=self.seismogram,
+            snapshots=self.store,
+            final_wavefield=self.prop.snapshot_field().copy(),
+            dt=self.prop.dt,
+            gpu=gpu,
+            extras=extras,
+        )
+
+    def run(
+        self,
+        gpu_options: GPUOptions | None,
+        platform: Platform,
+        tracer: Tracer | None,
+    ) -> GpuTimes | None:
+        """Walk the shot's schedule, physics in every event; returns the
+        modelled timing when ``gpu_options`` is given.
+
+        The offload pipeline runs next to the physics, event by event.
+        Under ``compiled=True`` the compiled step functions replace the
+        interpreter instead: the physics walks host-only and the timing
+        comes from the compiled runner (what estimate mode reports).
+        """
+        config = self.config
+        pipeline = None
+        if gpu_options is not None:
+            _strict_check(
+                gpu_options, platform, self.physics, self.shape, self.mode,
+                self.receivers.count, config.space_order,
+                config.boundary_width, config.pml_variant, nt=config.nt,
+                snap_period=self.snap_period,
+            )
+            pipeline = self.offload(
+                _build_runtime(gpu_options, platform, tracer), gpu_options
+            )
+            if not gpu_options.compiled:
+                self.pipeline = pipeline
+        walk(figure4(self.mode, config.nt, self.snap_period), self.visit())
+        if pipeline is None:
+            return None
+        if gpu_options.compiled:
+            return run_pipeline(
+                pipeline, self.mode, config.nt, self.snap_period,
+                config.snapshot_decimate,
+            )
+        return pipeline.gpu_times()
+
+
 def run_modeling(
     config: ModelingConfig,
     gpu_options: GPUOptions | None = None,
@@ -137,86 +296,8 @@ def run_modeling(
 ) -> ModelingResult:
     """Run seismic modeling; returns the seismogram, the snapshot movie and
     (when ``gpu_options`` is given) the modelled GPU timing."""
-    if config.model is None:
-        raise ConfigurationError("run_modeling needs an EarthModel")
-    physics = config.physics.lower()
-    prop_kwargs = {}
-    if physics == "isotropic":
-        prop_kwargs["pml_variant"] = config.pml_variant
-    prop = make_propagator(
-        physics,
-        config.model,
-        dt=config.dt,
-        space_order=config.space_order,
-        boundary_width=config.boundary_width,
-        **prop_kwargs,
-    )
-    dt = prop.dt
-    snap_period = (
-        config.snap_period
-        if config.snap_period is not None
-        else default_snap_period(dt, config.peak_freq)
-    )
-    store = SnapshotStore(snap_period, decimate=config.snapshot_decimate)
-    source = _default_source(config, dt)
-    receivers = config.receivers if config.receivers is not None else _default_receivers(config)
-    seismogram = np.zeros((config.nt, receivers.count), dtype=np.float32)
-
-    pipeline: OffloadPipeline | None = None
-    if gpu_options is not None:
-        _strict_check(
-            gpu_options, platform, physics, config.model.grid.shape,
-            "modeling", receivers.count, config.space_order,
-            config.boundary_width, config.pml_variant,
-            nt=config.nt, snap_period=snap_period,
-        )
-        rt = _build_runtime(gpu_options, platform, tracer)
-        pipeline = OffloadPipeline(
-            rt,
-            physics,
-            config.model.grid.shape,
-            nreceivers=receivers.count,
-            space_order=config.space_order,
-            boundary_width=config.boundary_width,
-            options=gpu_options,
-            pml_variant=config.pml_variant,
-        )
-        pipeline.allocate_forward()
-
-    for n in range(config.nt):
-        amp = source.amplitude(n)
-        srcs = [(source.index, amp)] if amp != 0.0 else []
-        prop.step(srcs)
-        seismogram[n, :] = receivers.record(prop.snapshot_field())
-        if pipeline is not None:
-            pipeline.forward_step(inject_source=bool(srcs))
-        if store.is_snap_step(n):
-            store.save(n, prop.snapshot_field())
-            if pipeline is not None:
-                pipeline.snapshot_to_host(decimate=config.snapshot_decimate)
-
-    gpu: GpuTimes | None = None
-    if pipeline is not None:
-        pipeline.finalize(with_image=False)
-        gpu = pipeline.gpu_times()
-    return ModelingResult(
-        seismogram=seismogram,
-        snapshots=store,
-        final_wavefield=prop.snapshot_field().copy(),
-        dt=dt,
-        gpu=gpu,
-    )
-
-
-def run_modeling_gpu(
-    config: ModelingConfig,
-    gpu_options: GPUOptions | None = None,
-    platform: Platform = CRAY_K40,
-) -> ModelingResult:
-    """Modeling with the GPU pipeline attached (convenience wrapper)."""
-    return run_modeling(
-        config, gpu_options=gpu_options or GPUOptions(), platform=platform
-    )
+    shot = ShotVisitor(config)
+    return shot.result(shot.run(gpu_options, platform, tracer))
 
 
 def estimate_modeling(
@@ -251,4 +332,4 @@ def estimate_modeling(
         options=options,
         pml_variant=pml_variant,
     )
-    return run_pipeline_modeling(pipeline, nt, snap_period, snapshot_decimate)
+    return run_pipeline(pipeline, "modeling", nt, snap_period, snapshot_decimate)

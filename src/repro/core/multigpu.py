@@ -32,6 +32,7 @@ from repro.core.config import GpuTimes, GPUOptions
 from repro.core.inventory import device_resident_bytes
 from repro.core.pipeline import OffloadPipeline
 from repro.core.platform import CRAY_K40, Platform
+from repro.core.schedule import figure4, walk
 from repro.gpusim.device import Device
 from repro.gpusim.kernelmodel import estimate_kernel_time
 from repro.gpusim.memory import DeviceMemory
@@ -568,50 +569,55 @@ class MultiGpuPipeline:
     ) -> list[GpuTimes]:
         """The Figure-4 forward schedule on every card, ghost swaps between
         steps; returns per-rank modelled timings."""
-        runlog.emit("run", op="modeling", nt=nt, ranks=len(self.ranks))
-        forward = self._compiled_steps("modeling", nt, snap_period, "forward",
-                                       snapshot_decimate)
-        for rc in self.ranks:
-            rc.pipe.allocate_forward()
-        for n in range(nt):
-            for r, rc in enumerate(self.ranks):
-                forward[r]() if forward else rc.pipe.forward_step()
-            self.exchange(self.primary)
-            if (n + 1) % snap_period == 0:
-                for rc in self.ranks:
-                    rc.pipe.snapshot_to_host(decimate=snapshot_decimate)
-        for rc in self.ranks:
-            rc.pipe.finalize(with_image=False)
-        runlog.emit("run.done", op="modeling")
-        return [rc.pipe.gpu_times() for rc in self.ranks]
+        return self._run("modeling", nt, snap_period, snapshot_decimate)
 
     def run_rtm(self, nt: int, snap_period: int) -> list[GpuTimes]:
         """Both phases: forward with full-field snapshots, swap, backward
         with imaging — the backward wavefield's halos swap per step too."""
-        runlog.emit("run", op="rtm", nt=nt, ranks=len(self.ranks))
-        forward = self._compiled_steps("rtm", nt, snap_period, "forward")
-        backward = self._compiled_steps("rtm", nt, snap_period, "backward")
-        for rc in self.ranks:
-            rc.pipe.allocate_forward()
-        for n in range(nt):
-            for r, rc in enumerate(self.ranks):
-                forward[r]() if forward else rc.pipe.forward_step()
-            self.exchange(self.primary)
-            if (n + 1) % snap_period == 0:
+        return self._run("rtm", nt, snap_period, 1)
+
+    def _run(
+        self, mode: str, nt: int, snap_period: int, snapshot_decimate: int
+    ) -> list[GpuTimes]:
+        """Walk the schedule on every rank; each forward/backward event is
+        one step per card followed by the ghost swap of its wavefield."""
+        runlog.emit("run", op=mode, nt=nt, ranks=len(self.ranks))
+        compiled = {
+            "forward": self._compiled_steps(
+                mode, nt, snap_period, "forward", snapshot_decimate
+            ),
+        }
+        if mode == "rtm":
+            compiled["backward"] = self._compiled_steps(
+                mode, nt, snap_period, "backward"
+            )
+        with_image = mode == "rtm" and self.options.image_on_gpu
+
+        def each(method: str, **kwargs):
+            def run(_) -> None:
                 for rc in self.ranks:
-                    rc.pipe.snapshot_to_host(decimate=1)
-        for rc in self.ranks:
-            rc.pipe.swap_to_backward()
-        bwd = self._backward_name()
-        for n in range(nt - 1, -1, -1):
-            if (n + 1) % snap_period == 0:
-                for rc in self.ranks:
-                    rc.pipe.load_forward_snapshot()
-                    rc.pipe.imaging_step()
-            for r, rc in enumerate(self.ranks):
-                backward[r]() if backward else rc.pipe.backward_step()
-            self.exchange(bwd)
-        for rc in self.ranks:
-            rc.pipe.finalize(with_image=rc.pipe.options.image_on_gpu)
-        runlog.emit("run.done", op="rtm")
+                    getattr(rc.pipe, method)(**kwargs)
+
+            return run
+
+        def stepped(phase: str, method: str, exchanged: str):
+            def run(_) -> None:
+                steps = compiled[phase]
+                for r, rc in enumerate(self.ranks):
+                    steps[r]() if steps else getattr(rc.pipe, method)()
+                self.exchange(exchanged)
+
+            return run
+
+        walk(figure4(mode, nt, snap_period), {
+            "allocate": each("allocate_forward"),
+            "forward": stepped("forward", "forward_step", self.primary),
+            "snapshot": each("snapshot_to_host", decimate=snapshot_decimate),
+            "swap": each("swap_to_backward"),
+            "load_snapshot": each("load_forward_snapshot"),
+            "imaging": each("imaging_step"),
+            "backward": stepped("backward", "backward_step", self._backward_name()),
+            "finalize": each("finalize", with_image=with_image),
+        })
+        runlog.emit("run.done", op=mode)
         return [rc.pipe.gpu_times() for rc in self.ranks]

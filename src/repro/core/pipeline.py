@@ -1,6 +1,9 @@
 """The five-step OpenACC offload pipeline of the paper's Figure 4.
 
-Drives a :class:`~repro.acc.runtime.Runtime` through:
+:class:`OffloadPipeline` holds one method per step; the time order of
+the steps is not here but in :mod:`repro.core.schedule`, whose event
+walk calls them. The methods drive a :class:`~repro.acc.runtime.Runtime`
+through:
 
 1. **Data allocation** — ``enter data copyin`` of the forward-phase
    inventory (forward and backward variables cannot coexist on the card).
@@ -18,8 +21,10 @@ Drives a :class:`~repro.acc.runtime.Runtime` through:
 
 The pipeline is physics-free: it moves *names and byte counts* and launches
 *workload metadata*, so the same code times the paper's full-size grids
-(estimate mode) and accompanies real NumPy runs (execute mode — drivers call
-:meth:`forward_step` etc. next to the propagator stepping).
+(estimate mode: :func:`run_pipeline` walks the schedule with
+:func:`offload_visitor`) and accompanies real NumPy runs (execute mode: the
+drivers' visitors call :meth:`~OffloadPipeline.forward_step` etc. next to
+the propagator stepping of the same event).
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import numpy as np
 from repro.acc.runtime import Runtime
 from repro.core.config import GpuTimes, GPUOptions
 from repro.core.inventory import field_inventory, primary_wavefield
+from repro.core.schedule import figure4, walk
 from repro.observe import runlog
 from repro.propagators.base import KernelWorkload
 from repro.propagators.workloads import (
@@ -353,18 +359,7 @@ class OffloadPipeline:
     # ------------------------------------------------------------------
     def gpu_times(self) -> GpuTimes:
         """Summarise the device's accumulated modelled time."""
-        dev = self.rt.device
-        return GpuTimes(
-            total=dev.elapsed,
-            kernel=dev.times.kernel,
-            h2d=dev.times.h2d,
-            d2h=dev.times.d2h,
-            alloc=dev.times.alloc,
-            launches=dev.kernel_launches,
-            success=True,
-            profile=dev.profiler.report(),
-            categories=dict(dev.clock.categories),
-        )
+        return device_times(self.rt.device)
 
 
 def failed_times(reason: str) -> GpuTimes:
@@ -373,65 +368,93 @@ def failed_times(reason: str) -> GpuTimes:
     return GpuTimes(success=False, failure=reason)
 
 
+def device_times(dev) -> GpuTimes:
+    """Summarise a device's accumulated modelled time."""
+    return GpuTimes(
+        total=dev.elapsed,
+        kernel=dev.times.kernel,
+        h2d=dev.times.h2d,
+        d2h=dev.times.d2h,
+        alloc=dev.times.alloc,
+        launches=dev.kernel_launches,
+        success=True,
+        profile=dev.profiler.report(),
+        categories=dict(dev.clock.categories),
+    )
+
+
+def offload_visitor(
+    pipeline: OffloadPipeline, mode: str, snapshot_decimate: int = 1
+) -> dict:
+    """The estimate-mode visitor: every schedule event is its pipeline
+    phase call. RTM snapshots are full fields (the imaging condition
+    needs them exactly); the modeling movie is decimated."""
+    decimate = 1 if mode == "rtm" else snapshot_decimate
+    with_image = mode == "rtm" and pipeline.options.image_on_gpu
+    return {
+        "allocate": lambda _: pipeline.allocate_forward(),
+        "forward": lambda _: pipeline.forward_step(),
+        "snapshot": lambda _: pipeline.snapshot_to_host(decimate=decimate),
+        "swap": lambda _: pipeline.swap_to_backward(),
+        "load_snapshot": lambda _: pipeline.load_forward_snapshot(),
+        "imaging": lambda _: pipeline.imaging_step(),
+        "backward": lambda _: pipeline.backward_step(),
+        "finalize": lambda _: pipeline.finalize(with_image=with_image),
+    }
+
+
+def walk_offload(events, visit, times) -> GpuTimes:
+    """Walk a one-card schedule and summarise it with ``times()``.
+
+    ``allocate`` and ``swap`` hold the schedule's only ``enter data``, so
+    device OOM can only strike there: a card too small for the phase's
+    inventory is the paper's ``x`` entry, ``failed_times('oom')``."""
+    try:
+        walk(events, visit)
+    except DeviceOutOfMemoryError:
+        return failed_times("oom")
+    return times()
+
+
+def run_pipeline(
+    pipeline: OffloadPipeline,
+    mode: str,
+    nt: int,
+    snap_period: int,
+    snapshot_decimate: int = 1,
+) -> GpuTimes:
+    """Estimate-mode run (no physics) of the full Figure-4 schedule:
+    ``modeling`` is the forward half, ``rtm`` adds the swap and the
+    backward half with imaging + receiver injection. A persona that
+    cannot build the RTM case fails it as the paper's tables do."""
+    if mode == "rtm":
+        tag = f"{pipeline.physics}-{pipeline.ndim}d-rtm"
+        if tag in getattr(pipeline.options.compiler, "known_failures", ()):
+            return failed_times("compiler")
+    if pipeline.options.compiled:
+        from repro.compile.runner import run_pipeline_compiled
+
+        decimate = 1 if mode == "rtm" else snapshot_decimate
+        return run_pipeline_compiled(pipeline, mode, nt, snap_period, decimate)
+    return walk_offload(
+        figure4(mode, nt, snap_period),
+        offload_visitor(pipeline, mode, snapshot_decimate),
+        pipeline.gpu_times,
+    )
+
+
 def run_pipeline_modeling(
     pipeline: OffloadPipeline,
     nt: int,
     snap_period: int,
     snapshot_decimate: int = 4,
 ) -> GpuTimes:
-    """Estimate-mode forward run (no physics): the full Figure-4 forward
-    schedule for ``nt`` steps."""
-    if pipeline.options.compiled:
-        from repro.compile.runner import run_pipeline_compiled
-
-        return run_pipeline_compiled(
-            pipeline, "modeling", nt, snap_period, snapshot_decimate
-        )
-    try:
-        pipeline.allocate_forward()
-    except DeviceOutOfMemoryError:
-        return failed_times("oom")
-    for n in range(nt):
-        pipeline.forward_step()
-        if (n + 1) % snap_period == 0:
-            pipeline.snapshot_to_host(decimate=snapshot_decimate)
-    pipeline.finalize(with_image=False)
-    return pipeline.gpu_times()
+    """:func:`run_pipeline` in modeling mode."""
+    return run_pipeline(pipeline, "modeling", nt, snap_period, snapshot_decimate)
 
 
 def run_pipeline_rtm(
-    pipeline: OffloadPipeline,
-    nt: int,
-    snap_period: int,
+    pipeline: OffloadPipeline, nt: int, snap_period: int
 ) -> GpuTimes:
-    """Estimate-mode RTM run (no physics): forward with full-field
-    snapshots, swap, backward with imaging + receiver injection."""
-    compiler = pipeline.options.compiler
-    tag = f"{pipeline.physics}-{pipeline.ndim}d-rtm"
-    if tag in getattr(compiler, "known_failures", ()):
-        return failed_times("compiler")
-    if pipeline.options.compiled:
-        from repro.compile.runner import run_pipeline_compiled
-
-        return run_pipeline_compiled(
-            pipeline, "rtm", nt, snap_period, snapshot_decimate=1
-        )
-    try:
-        pipeline.allocate_forward()
-    except DeviceOutOfMemoryError:
-        return failed_times("oom")
-    for n in range(nt):
-        pipeline.forward_step()
-        if (n + 1) % snap_period == 0:
-            pipeline.snapshot_to_host(decimate=1)  # RTM needs full fields
-    try:
-        pipeline.swap_to_backward()
-    except DeviceOutOfMemoryError:
-        return failed_times("oom")
-    for n in range(nt - 1, -1, -1):
-        if (n + 1) % snap_period == 0:
-            pipeline.load_forward_snapshot()
-            pipeline.imaging_step()
-        pipeline.backward_step()
-    pipeline.finalize(with_image=pipeline.options.image_on_gpu)
-    return pipeline.gpu_times()
+    """:func:`run_pipeline` in RTM mode."""
+    return run_pipeline(pipeline, "rtm", nt, snap_period)

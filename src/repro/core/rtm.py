@@ -9,6 +9,10 @@ cross-correlation imaging condition against the stored source wavefield.
 ``run_rtm`` executes the physics; with ``gpu_options`` it also drives the
 five-step offload pipeline for modelled timings. ``estimate_rtm`` times the
 pipeline alone at paper-scale sizes.
+
+The time order comes from :mod:`repro.core.schedule`: :class:`RtmVisitor`
+extends the modeling driver's forward visitor with the swap and the
+backward half, and ``run_rtm`` walks it.
 """
 
 from __future__ import annotations
@@ -22,18 +26,101 @@ from repro.core.imaging import (
     mute_shallow,
     normalize_image,
 )
-from repro.core.modeling import (
-    _build_runtime,
-    _default_receivers,
-    _default_source,
-    _strict_check,
-)
-from repro.core.pipeline import OffloadPipeline, run_pipeline_rtm
+from repro.core.modeling import ShotVisitor, _build_runtime, _strict_check
+from repro.core.pipeline import OffloadPipeline, run_pipeline
 from repro.core.platform import CRAY_K40, Platform
-from repro.core.snapshots import SnapshotStore, default_snap_period
-from repro.propagators.factory import make_propagator
 from repro.trace.tracer import Tracer
-from repro.utils.errors import ConfigurationError
+
+
+class RtmVisitor(ShotVisitor):
+    """Both halves of an RTM shot's physics, as Figure-4 event handlers.
+
+    The forward half is :class:`~repro.core.modeling.ShotVisitor`'s plus
+    the source illumination. ``swap`` builds the receiver-side
+    propagator; each ``backward`` step injects the time-reversed
+    seismogram and, at a stored snapshot step, cross-correlates the two
+    wavefields into the image.
+    """
+
+    mode = "rtm"
+
+    def __init__(self, config: RTMConfig):
+        super().__init__(config)
+        self.illum = np.zeros(self.shape, dtype=np.float32)
+        self.bwd = None
+        self.image: np.ndarray | None = None
+
+    def visit(self) -> dict:
+        return {
+            **super().visit(),
+            "swap": self.swap,
+            "load_snapshot": self.load_snapshot,
+            "imaging": self.imaging,
+            "backward": self.backward,
+        }
+
+    def snapshot(self, n: int) -> None:
+        illumination_update(self.illum, self.prop.snapshot_field())
+        super().snapshot(n)
+
+    def swap(self, _) -> None:
+        self.device("swap_to_backward", "forward")
+        self.bwd = self.propagator()
+        self.image = np.zeros(self.shape, dtype=np.float32)
+
+    def load_snapshot(self, _) -> None:
+        self.device("load_forward_snapshot", "backward")
+
+    def imaging(self, _) -> None:
+        self.device("imaging_step", "backward")
+
+    def backward(self, n: int) -> None:
+        bwd = self.bwd
+        bwd.step(())
+        # receiver injection: the time-reversed records drive the backward
+        # wavefield (inject_pressure reaches the real state fields — the
+        # elastic observable is derived, so a plain field write would be
+        # lost)
+        bwd.inject_pressure(
+            self.receivers.indices, self.seismogram[n, :],
+            scale=np.float32(1.0 / bwd.dt),
+        )
+        if self.store.has(n):
+            cross_correlation_update(
+                self.image, self.store.load(n), bwd.snapshot_field()
+            )
+        self.device("backward_step", "backward", inject_receivers=True)
+
+    def finalize(self, _) -> None:
+        pipeline = self.pipeline
+        self.device(
+            "finalize", "backward",
+            with_image=pipeline is not None and pipeline.options.image_on_gpu,
+        )
+
+    def result(self, gpu: GpuTimes | None, **extras) -> RTMResult:
+        config = self.config
+        raw = self.image.copy()
+        out = normalize_image(
+            self.image, self.illum if config.illumination_normalize else None
+        )
+        mute = (
+            config.mute_cells
+            if config.mute_cells is not None
+            else config.boundary_width + 8
+        )
+        return RTMResult(
+            image=mute_shallow(out, mute),
+            raw_image=raw,
+            seismogram=self.seismogram,
+            dt=self.prop.dt,
+            gpu=gpu,
+            extras={
+                "snap_period": self.snap_period,
+                "snapshots": self.store.count,
+                **extras,
+            },
+        )
 
 
 def run_rtm(
@@ -44,132 +131,8 @@ def run_rtm(
 ) -> RTMResult:
     """Run one-shot RTM; returns the migrated image (normalised + muted)
     and, when ``gpu_options`` is given, the modelled GPU timing."""
-    if config.model is None:
-        raise ConfigurationError("run_rtm needs an EarthModel")
-    physics = config.physics.lower()
-    prop_kwargs = {}
-    if physics == "isotropic":
-        prop_kwargs["pml_variant"] = config.pml_variant
-
-    def build_prop():
-        return make_propagator(
-            physics,
-            config.model,
-            dt=config.dt,
-            space_order=config.space_order,
-            boundary_width=config.boundary_width,
-            **prop_kwargs,
-        )
-
-    fwd = build_prop()
-    dt = fwd.dt
-    snap_period = (
-        config.snap_period
-        if config.snap_period is not None
-        else default_snap_period(dt, config.peak_freq)
-    )
-    store = SnapshotStore(snap_period, decimate=1)  # imaging needs full fields
-    source = _default_source(config, dt)
-    receivers = (
-        config.receivers if config.receivers is not None else _default_receivers(config)
-    )
-    seismogram = np.zeros((config.nt, receivers.count), dtype=np.float32)
-    shape = config.model.grid.shape
-    illum = np.zeros(shape, dtype=np.float32)
-
-    pipeline: OffloadPipeline | None = None
-    if gpu_options is not None:
-        _strict_check(
-            gpu_options, platform, physics, shape, "rtm",
-            receivers.count, config.space_order, config.boundary_width,
-            config.pml_variant, nt=config.nt, snap_period=snap_period,
-        )
-        rt = _build_runtime(gpu_options, platform, tracer)
-        pipeline = OffloadPipeline(
-            rt,
-            physics,
-            shape,
-            nreceivers=receivers.count,
-            space_order=config.space_order,
-            boundary_width=config.boundary_width,
-            options=gpu_options,
-            pml_variant=config.pml_variant,
-        )
-        pipeline.allocate_forward()
-
-    # ------------------------------------------------------------------
-    # forward phase
-    # ------------------------------------------------------------------
-    for n in range(config.nt):
-        amp = source.amplitude(n)
-        srcs = [(source.index, amp)] if amp != 0.0 else []
-        fwd.step(srcs)
-        seismogram[n, :] = receivers.record(fwd.snapshot_field())
-        if pipeline is not None:
-            pipeline.forward_step(inject_source=bool(srcs))
-        if store.is_snap_step(n):
-            s = fwd.snapshot_field()
-            store.save(n, s)
-            illumination_update(illum, s)
-            if pipeline is not None:
-                pipeline.snapshot_to_host(decimate=1)
-
-    # ------------------------------------------------------------------
-    # backward phase
-    # ------------------------------------------------------------------
-    if pipeline is not None:
-        pipeline.swap_to_backward()
-    bwd = build_prop()
-    image = np.zeros(shape, dtype=np.float32)
-    scale = np.float32(1.0 / bwd.dt)
-    for n in range(config.nt - 1, -1, -1):
-        traces = seismogram[n, :]
-        bwd.step(())
-        # receiver injection: the time-reversed records drive the backward
-        # wavefield (inject_pressure reaches the real state fields — the
-        # elastic observable is derived, so a plain field write would be
-        # lost)
-        bwd.inject_pressure(receivers.indices, traces, scale=scale)
-        if store.has(n):
-            cross_correlation_update(image, store.load(n), bwd.snapshot_field())
-            if pipeline is not None:
-                pipeline.load_forward_snapshot()
-                pipeline.imaging_step()
-        if pipeline is not None:
-            pipeline.backward_step(inject_receivers=True)
-
-    gpu: GpuTimes | None = None
-    if pipeline is not None:
-        pipeline.finalize(with_image=pipeline.options.image_on_gpu)
-        gpu = pipeline.gpu_times()
-
-    raw = image.copy()
-    out = normalize_image(
-        image, illum if config.illumination_normalize else None
-    )
-    mute = (
-        config.mute_cells
-        if config.mute_cells is not None
-        else config.boundary_width + 8
-    )
-    out = mute_shallow(out, mute)
-    return RTMResult(
-        image=out,
-        raw_image=raw,
-        seismogram=seismogram,
-        dt=dt,
-        gpu=gpu,
-        extras={"snap_period": snap_period, "snapshots": store.count},
-    )
-
-
-def run_rtm_gpu(
-    config: RTMConfig,
-    gpu_options: GPUOptions | None = None,
-    platform: Platform = CRAY_K40,
-) -> RTMResult:
-    """RTM with the GPU pipeline attached (convenience wrapper)."""
-    return run_rtm(config, gpu_options=gpu_options or GPUOptions(), platform=platform)
+    shot = RtmVisitor(config)
+    return shot.result(shot.run(gpu_options, platform, tracer))
 
 
 def estimate_rtm(
@@ -203,4 +166,4 @@ def estimate_rtm(
         options=options,
         pml_variant=pml_variant,
     )
-    return run_pipeline_rtm(pipeline, nt, snap_period)
+    return run_pipeline(pipeline, "rtm", nt, snap_period)

@@ -21,11 +21,14 @@ Three mechanisms, applied in escalation order (the degradation ladder):
 
 :class:`ResilientPipeline` wraps the single-card executed drivers
 (:func:`~repro.core.modeling.run_modeling` /
-:func:`~repro.core.rtm.run_rtm` semantics, physics bit-identical);
+:func:`~repro.core.rtm.run_rtm` semantics, physics bit-identical) by
+reusing their shot set-up and visitors with a guarded ``device`` hook;
 :class:`ResilientMultiGpu` wraps the decomposed
 :class:`~repro.core.multigpu.MultiGpuPipeline` path with a real (simple,
 deterministic, ghost-dependent) host physics so halo faults are observable
-in the answer.
+in the answer. Both walk the :mod:`repro.core.schedule` events; a restart
+moves the walk's cursor back to the first event of the checkpointed loop
+iteration.
 """
 
 from __future__ import annotations
@@ -43,24 +46,21 @@ from repro.core.config import (
     RTMConfig,
     RTMResult,
 )
-from repro.core.imaging import (
-    cross_correlation_update,
-    illumination_update,
-    mute_shallow,
-    normalize_image,
-)
-from repro.core.modeling import (
-    _build_runtime,
-    _default_receivers,
-    _default_source,
-)
+from repro.core.modeling import ShotVisitor, _build_runtime
 from repro.core.multigpu import MultiGpuPipeline
 from repro.core.offload_plan import plan_offload
 from repro.core.pipeline import OffloadPipeline
 from repro.core.platform import CRAY_K40, Platform
-from repro.core.snapshots import SnapshotStore, default_snap_period
+from repro.core.rtm import RtmVisitor
+from repro.core.schedule import (
+    REPEATED_PHASES,
+    Rewind,
+    figure4,
+    loop_positions,
+    walk,
+)
+from repro.core.snapshots import SnapshotStore
 from repro.observe import runlog
-from repro.propagators.factory import make_propagator
 from repro.resilience.faults import OOM, PCIE_PERMANENT, RANK_DEAD
 from repro.resilience.injector import TRACE_PROCESS, FaultInjector
 from repro.trace.tracer import NULL_TRACER
@@ -375,45 +375,25 @@ class ResilientPipeline:
         self.backward_checkpoints: CheckpointStore | None = None
 
     # ------------------------------------------------------------------
-    def _setup(self, physics: str):
-        prop_kwargs = {}
-        if physics == "isotropic":
-            prop_kwargs["pml_variant"] = self.config.pml_variant
-        prop = make_propagator(
-            physics,
-            self.config.model,
-            dt=self.config.dt,
-            space_order=self.config.space_order,
-            boundary_width=self.config.boundary_width,
-            **prop_kwargs,
-        )
+    def _run(self, shot: ShotVisitor):
+        """Walk ``shot`` with every pipeline call under the recovery
+        ladder; returns its result."""
         rt = _build_runtime(self.options, self.platform, self.tracer)
         rt.attach_injector(self.injector)
-        pipeline = OffloadPipeline(
-            rt,
-            physics,
-            self.config.model.grid.shape,
-            nreceivers=(
-                self.config.receivers.count
-                if self.config.receivers is not None
-                else _default_receivers(self.config).count
-            ),
-            space_order=self.config.space_order,
-            boundary_width=self.config.boundary_width,
-            options=self.options,
-            pml_variant=self.config.pml_variant,
-        )
+        pipeline = shot.pipeline = shot.offload(rt, self.options)
         guard = _Guard(
             self.injector, self.backoff, self.stats,
             pipeline.tracer, rt.device.clock,
             "rtm" if isinstance(self.config, RTMConfig) else "modeling",
         )
-        return prop, pipeline, guard
+        shot.device = self._device(guard, pipeline)
+        self._walk(shot, guard, pipeline)
+        return shot.result(pipeline.gpu_times(), resilience=self.stats)
 
-    def _restart(self, exc, guard, ckpt, prop, pipeline, phase, at_step, aux=None):
-        """Restore the most recent checkpoint; returns the loop index to
-        resume from. Raises the original fault when the restart budget is
-        spent (unrecoverable)."""
+    def _restart(self, exc, guard, ckpt, pipeline, phase, at_step, restore):
+        """Restore the most recent checkpoint; returns the loop iteration
+        to resume from. Raises the original fault when the restart budget
+        is spent (unrecoverable)."""
         if self.stats.restarts >= self.max_restarts:
             raise exc.cause
         self.stats.restarts += 1
@@ -427,10 +407,7 @@ class ResilientPipeline:
             # restart-level repair: the modelled link/card reset clears any
             # latched permanent PCIe fault
             self.injector.resolve(PCIE_PERMANENT)
-            state = ckpt.load(step)
-            prop.restore_state(state["prop"])
-            if aux is not None:
-                aux(state)
+            restore(ckpt.load(step))
             pipeline.restore_residency(phase)
             self.stats.recovery_cost_s += guard.clock.now - t0
         self.stats.note(
@@ -439,171 +416,35 @@ class ResilientPipeline:
         )
         return step
 
+    def _rebuild(self, guard, pipeline, label: str, exc, phase: str) -> None:
+        """The restart rung of a residency-building op (allocate / swap):
+        the host state is intact, so no checkpoint is involved — tear
+        down, reset the link (a permanent PCIe fault latched during the
+        copyin), rebuild straight to ``phase``."""
+        if self.stats.restarts >= self.max_restarts:
+            raise exc.cause
+        self.stats.restarts += 1
+        with guard._span("restart", phase=label, error=str(exc.cause)):
+            t0 = guard.clock.now
+            pipeline.drop_residency()
+            self.injector.resolve(PCIE_PERMANENT)
+            pipeline.restore_residency(phase)
+            self.stats.recovery_cost_s += guard.clock.now - t0
+        self.stats.note(
+            f"{label} restarted after {type(exc.cause).__name__}", kind="restart",
+        )
+
     def _initial_allocate(self, guard, pipeline) -> None:
-        """Guarded first residency build. No physics has run yet, so the
-        restart rung reduces to: tear down, reset the link (a permanent
-        PCIe fault latched during the copyin), rebuild."""
+        """Guarded first residency build."""
         try:
             guard.run(
                 "allocate_forward", pipeline.allocate_forward, pipeline,
                 "idle", reset=pipeline.drop_residency,
             )
         except _RestartNeeded as exc:
-            if self.stats.restarts >= self.max_restarts:
-                raise exc.cause
-            self.stats.restarts += 1
-            with guard._span("restart", phase="allocate", error=str(exc.cause)):
-                t0 = guard.clock.now
-                pipeline.drop_residency()
-                self.injector.resolve(PCIE_PERMANENT)
-                pipeline.restore_residency("forward")
-                self.stats.recovery_cost_s += guard.clock.now - t0
-            self.stats.note(
-                "allocate restarted after " + type(exc.cause).__name__,
-                kind="restart",
-            )
+            self._rebuild(guard, pipeline, "allocate", exc, "forward")
 
-    def _finalize(self, guard, pipeline, phase, with_image: bool):
-        try:
-            guard.run("finalize", lambda: pipeline.finalize(with_image), pipeline, phase)
-        except _RestartNeeded:
-            # the answer already lives on the host — a finalize that cannot
-            # talk to the card degrades to dropping residency outright
-            pipeline.drop_residency()
-            self.injector.resolve(PCIE_PERMANENT)
-            self.stats.degraded.append("finalize:drop")
-            self.stats.note("finalize degraded to residency drop", kind="degrade")
-
-    # ------------------------------------------------------------------
-    def run_modeling(self) -> ModelingResult:
-        config = self.config
-        physics = config.physics.lower()
-        prop, pipeline, guard = self._setup(physics)
-        dt = prop.dt
-        snap_period = (
-            config.snap_period
-            if config.snap_period is not None
-            else default_snap_period(dt, config.peak_freq)
-        )
-        store = SnapshotStore(snap_period, decimate=config.snapshot_decimate)
-        source = _default_source(config, dt)
-        receivers = (
-            config.receivers
-            if config.receivers is not None
-            else _default_receivers(config)
-        )
-        seismogram = np.zeros((config.nt, receivers.count), dtype=np.float32)
-        ckpt = CheckpointStore(
-            config.nt, self.checkpoint_period, self.checkpoint_budget
-        )
-        self.checkpoints = ckpt
-
-        self._initial_allocate(guard, pipeline)
-        n = 0
-        while n < config.nt:
-            if ckpt.is_checkpoint_step(n):
-                ckpt.save(n, prop.snapshot_field(), {"prop": prop.capture_state()})
-            try:
-                amp = source.amplitude(n)
-                srcs = [(source.index, amp)] if amp != 0.0 else []
-                prop.step(srcs)
-                seismogram[n, :] = receivers.record(prop.snapshot_field())
-                guard.run(
-                    "forward_step",
-                    lambda s=srcs: pipeline.forward_step(inject_source=bool(s)),
-                    pipeline, "forward",
-                )
-                if store.is_snap_step(n):
-                    store.save(n, prop.snapshot_field())
-                    guard.run(
-                        "snapshot_to_host",
-                        lambda: pipeline.snapshot_to_host(
-                            decimate=config.snapshot_decimate
-                        ),
-                        pipeline, "forward",
-                    )
-                n += 1
-            except _RestartNeeded as exc:
-                n = self._restart(exc, guard, ckpt, prop, pipeline, "forward", n)
-
-        self._finalize(guard, pipeline, "forward", with_image=False)
-        return ModelingResult(
-            seismogram=seismogram,
-            snapshots=store,
-            final_wavefield=prop.snapshot_field().copy(),
-            dt=dt,
-            gpu=pipeline.gpu_times(),
-            extras={"resilience": self.stats},
-        )
-
-    # ------------------------------------------------------------------
-    def run_rtm(self) -> RTMResult:
-        config = self.config
-        if not isinstance(config, RTMConfig):
-            raise ConfigurationError("run_rtm needs an RTMConfig")
-        physics = config.physics.lower()
-        fwd, pipeline, guard = self._setup(physics)
-        dt = fwd.dt
-        snap_period = (
-            config.snap_period
-            if config.snap_period is not None
-            else default_snap_period(dt, config.peak_freq)
-        )
-        store = SnapshotStore(snap_period, decimate=1)
-        source = _default_source(config, dt)
-        receivers = (
-            config.receivers
-            if config.receivers is not None
-            else _default_receivers(config)
-        )
-        seismogram = np.zeros((config.nt, receivers.count), dtype=np.float32)
-        shape = config.model.grid.shape
-        illum = np.zeros(shape, dtype=np.float32)
-        ckpt = CheckpointStore(
-            config.nt, self.checkpoint_period, self.checkpoint_budget
-        )
-        self.checkpoints = ckpt
-
-        # ---------------- forward phase ----------------
-        self._initial_allocate(guard, pipeline)
-
-        def restore_illum(state):
-            illum[...] = state["illum"]
-
-        n = 0
-        while n < config.nt:
-            if ckpt.is_checkpoint_step(n):
-                ckpt.save(
-                    n, fwd.snapshot_field(),
-                    {"prop": fwd.capture_state(), "illum": illum.copy()},
-                )
-            try:
-                amp = source.amplitude(n)
-                srcs = [(source.index, amp)] if amp != 0.0 else []
-                fwd.step(srcs)
-                seismogram[n, :] = receivers.record(fwd.snapshot_field())
-                guard.run(
-                    "forward_step",
-                    lambda s=srcs: pipeline.forward_step(inject_source=bool(s)),
-                    pipeline, "forward",
-                )
-                if store.is_snap_step(n):
-                    s = fwd.snapshot_field()
-                    store.save(n, s)
-                    illumination_update(illum, s)
-                    guard.run(
-                        "snapshot_to_host",
-                        lambda: pipeline.snapshot_to_host(decimate=1),
-                        pipeline, "forward",
-                    )
-                n += 1
-            except _RestartNeeded as exc:
-                n = self._restart(
-                    exc, guard, ckpt, fwd, pipeline, "forward", n,
-                    aux=restore_illum,
-                )
-
-        # ---------------- swap ----------------
+    def _swap(self, guard, pipeline) -> None:
         def do_swap():
             # a retry after a teardown re-enters from idle: rebuild the
             # forward residency, then swap — same end state as one swap
@@ -616,96 +457,130 @@ class ResilientPipeline:
             guard.run("swap_to_backward", do_swap, pipeline, "forward",
                       reset=pipeline.drop_residency)
         except _RestartNeeded as exc:
-            if self.stats.restarts >= self.max_restarts:
-                raise exc.cause
-            self.stats.restarts += 1
-            with guard._span("restart", phase="swap", error=str(exc.cause)):
-                t0 = guard.clock.now
-                pipeline.drop_residency()
-                self.injector.resolve(PCIE_PERMANENT)
-                pipeline.restore_residency("backward")
-                self.stats.recovery_cost_s += guard.clock.now - t0
-            self.stats.note("swap restarted after " + type(exc.cause).__name__,
-                            kind="restart")
+            self._rebuild(guard, pipeline, "swap", exc, "backward")
 
-        # ---------------- backward phase ----------------
-        bwd = make_propagator(
-            physics,
-            config.model,
-            dt=config.dt,
-            space_order=config.space_order,
-            boundary_width=config.boundary_width,
-            **({"pml_variant": config.pml_variant} if physics == "isotropic" else {}),
-        )
-        image = np.zeros(shape, dtype=np.float32)
-        scale = np.float32(1.0 / bwd.dt)
-        bck = CheckpointStore(
-            config.nt, self.checkpoint_period, self.checkpoint_budget
-        )
-        self.backward_checkpoints = bck
+    def _finalize(self, guard, pipeline, phase, with_image: bool):
+        try:
+            guard.run("finalize", lambda: pipeline.finalize(with_image), pipeline, phase)
+        except _RestartNeeded:
+            # the answer already lives on the host — a finalize that cannot
+            # talk to the card degrades to dropping residency outright
+            pipeline.drop_residency()
+            self.injector.resolve(PCIE_PERMANENT)
+            self.stats.degraded.append("finalize:drop")
+            self.stats.note("finalize degraded to residency drop", kind="degrade")
 
-        def restore_image(state):
-            image[...] = state["image"]
+    def _device(self, guard, pipeline):
+        """The visitors' ``device`` hook: every pipeline call goes through
+        the recovery ladder; the residency-building ones get their
+        restart rungs."""
 
-        n = config.nt - 1
-        while n >= 0:
-            m = config.nt - 1 - n  # completed backward steps
-            if bck.is_checkpoint_step(m):
-                bck.save(
-                    m, bwd.snapshot_field(),
-                    {"prop": bwd.capture_state(), "image": image.copy()},
-                )
-            try:
-                traces = seismogram[n, :]
-                bwd.step(())
-                bwd.inject_pressure(receivers.indices, traces, scale=scale)
-                if store.has(n):
-                    cross_correlation_update(image, store.load(n), bwd.snapshot_field())
-                    guard.run(
-                        "load_forward_snapshot",
-                        pipeline.load_forward_snapshot, pipeline, "backward",
-                    )
-                    guard.run(
-                        "imaging_step", pipeline.imaging_step, pipeline, "backward",
-                    )
+        def device(method: str, phase: str, **kwargs) -> None:
+            if method == "allocate_forward":
+                self._initial_allocate(guard, pipeline)
+            elif method == "swap_to_backward":
+                self._swap(guard, pipeline)
+            elif method == "finalize":
+                self._finalize(guard, pipeline, phase, kwargs["with_image"])
+            else:
                 guard.run(
-                    "backward_step",
-                    lambda: pipeline.backward_step(inject_receivers=True),
-                    pipeline, "backward",
+                    method, lambda: getattr(pipeline, method)(**kwargs),
+                    pipeline, phase,
                 )
-                n -= 1
-            except _RestartNeeded as exc:
-                m_r = self._restart(
-                    exc, guard, bck, bwd, pipeline, "backward", m,
-                    aux=restore_image,
-                )
-                n = config.nt - 1 - m_r
 
-        self._finalize(
-            guard, pipeline, "backward", with_image=self.options.image_on_gpu
+        return device
+
+    def _walk(self, shot, guard, pipeline) -> None:
+        """Walk the shot's schedule with a checkpoint store per loop; a
+        restart restores the loop's propagator and accumulated arrays."""
+        config = self.config
+
+        def store() -> CheckpointStore:
+            return CheckpointStore(
+                config.nt, self.checkpoint_period, self.checkpoint_budget
+            )
+
+        ckpts = {"forward": store()}
+        self.checkpoints = ckpts["forward"]
+        if shot.mode == "rtm":
+            ckpts["backward"] = self.backward_checkpoints = store()
+
+        def state(loop: str):
+            """The propagator and accumulated arrays ``loop`` checkpoints."""
+            if loop == "forward":
+                extra = {"illum": shot.illum} if shot.mode == "rtm" else {}
+                return shot.prop, extra
+            return shot.bwd, {"image": shot.image}
+
+        def begin(loop: str, it: int) -> None:
+            if ckpts[loop].is_checkpoint_step(it):
+                prop, arrays = state(loop)
+                ckpts[loop].save(it, prop.snapshot_field(), {
+                    "prop": prop.capture_state(),
+                    **{k: a.copy() for k, a in arrays.items()},
+                })
+
+        def restart(exc, loop: str, it: int) -> int:
+            prop, arrays = state(loop)
+
+            def restore(saved: dict) -> None:
+                prop.restore_state(saved["prop"])
+                for k, a in arrays.items():
+                    a[...] = saved[k]
+
+            return self._restart(exc, guard, ckpts[loop], pipeline, loop, it, restore)
+
+        _walk_checkpointed(
+            figure4(shot.mode, config.nt, shot.snap_period),
+            shot.visit(), begin, restart,
         )
-        raw = image.copy()
-        out = normalize_image(
-            image, illum if config.illumination_normalize else None
-        )
-        mute = (
-            config.mute_cells
-            if config.mute_cells is not None
-            else config.boundary_width + 8
-        )
-        out = mute_shallow(out, mute)
-        return RTMResult(
-            image=out,
-            raw_image=raw,
-            seismogram=seismogram,
-            dt=dt,
-            gpu=pipeline.gpu_times(),
-            extras={
-                "snap_period": snap_period,
-                "snapshots": store.count,
-                "resilience": self.stats,
-            },
-        )
+
+    # ------------------------------------------------------------------
+    def run_modeling(self) -> ModelingResult:
+        return self._run(ShotVisitor(self.config))
+
+    def run_rtm(self) -> RTMResult:
+        if not isinstance(self.config, RTMConfig):
+            raise ConfigurationError("run_rtm needs an RTMConfig")
+        return self._run(RtmVisitor(self.config))
+
+
+def _walk_checkpointed(events, visit, begin, restart) -> None:
+    """Walk ``events`` with checkpoints at loop-iteration boundaries.
+
+    ``begin(loop, iteration)`` runs before the first event of every loop
+    iteration (see :func:`~repro.core.schedule.loop_positions`). A
+    :class:`_RestartNeeded` raised by a loop event calls ``restart(exc,
+    loop, iteration)``, which restores a checkpoint and returns the
+    iteration it holds: the cursor rewinds to that iteration's first
+    event.
+    """
+    positions = loop_positions(events)
+    first: dict[tuple[str, int], int] = {}
+    for i, event in enumerate(events):
+        if event in positions:
+            first.setdefault(positions[event], i)
+    current = None
+
+    def entering(phase: str, handler):
+        def run(step) -> None:
+            nonlocal current
+            loop, it = pos = positions[(phase, step)]
+            if pos != current:
+                current = pos
+                begin(loop, it)
+            try:
+                handler(step)
+            except _RestartNeeded as exc:
+                current = None
+                raise Rewind(first[(loop, restart(exc, loop, it))]) from exc
+
+        return run
+
+    walk(events, {
+        phase: entering(phase, handler) if phase in REPEATED_PHASES else handler
+        for phase, handler in visit.items()
+    })
 
 
 class ResilientMultiGpu:
@@ -861,11 +736,6 @@ class ResilientMultiGpu:
                     kind="retry",
                 )
 
-    def _rank_op(
-        self, guard: _Guard, rc, label: str, op, phase: str, reset=None
-    ) -> None:
-        guard.run(label, op, rc.pipe, phase, reset=reset)
-
     def _restore_residency(self, phase: str) -> None:
         for rc in self.mgp.ranks:
             rc.pipe.drop_residency()
@@ -948,111 +818,93 @@ class ResilientMultiGpu:
         period = self.checkpoint_period
         if period is None:
             period = max(1, nt // 4)
-        ckpt = CheckpointStore(nt, period)
+        ckpts = {"forward": CheckpointStore(nt, period), "backward": CheckpointStore(nt, period)}
         store = SnapshotStore(snap_period) if mode == "rtm" else None
         guard = self._guard()
 
-        def allocate_all():
-            for rc in self.mgp.ranks:
-                self._rank_op(
-                    guard, rc, "allocate_forward", rc.pipe.allocate_forward,
-                    "idle", reset=rc.pipe.drop_residency,
-                )
-
-        self._structural(guard, "forward", allocate_all)
-
-        n = 0
-        while n < nt:
+        def begin(loop: str, it: int) -> None:
+            nonlocal guard
             guard = self._guard()  # rank 0's clock may change on rebuild
-            if ckpt.is_checkpoint_step(n):
+            if ckpts[loop].is_checkpoint_step(it):
                 self._gather()
-                ckpt.save(n, self.global_field, {"global": self.global_field.copy()})
-            try:
-                self._local_step()
-                for rc in list(self.mgp.ranks):
-                    try:
-                        self._rank_op(
-                            guard, rc, "forward_step", rc.pipe.forward_step,
-                            "forward",
-                        )
-                    except DeviceLostError as exc:
-                        self._redecompose(exc, "forward")
-                        raise _RestartNeeded(exc)
-                self._exchange(guard, self.mgp.primary)
-                if mode == "rtm" and (n + 1) % snap_period == 0:
-                    self._gather()
-                    store.save(n, self.global_field.copy())
-                n += 1
-            except _RestartNeeded as exc:
-                n = self._restart(exc, guard, ckpt, "forward", n)
+                state = {"global": self.global_field.copy()}
+                if loop == "backward":
+                    state["image"] = self.image.copy()
+                ckpts[loop].save(it, self.global_field, state)
 
-        self._gather()
-        if mode == "modeling":
-            for rc in self.mgp.ranks:
-                self._rank_op(
-                    guard, rc, "finalize",
-                    lambda p=rc.pipe: p.finalize(with_image=False), "forward",
-                )
-            return self.global_field.copy()
+        def restart(exc, loop: str, it: int) -> int:
+            return self._restart(exc, guard, ckpts[loop], loop, it)
 
-        # ---------------- rtm backward phase ----------------
-        def swap_all():
+        def on_ranks(label: str, phase: str, op, reset: bool = False) -> None:
             for rc in self.mgp.ranks:
-                self._rank_op(
-                    guard, rc, "swap_to_backward",
-                    lambda p=rc.pipe: (
-                        p.restore_residency("backward")
-                        if p.phase == "idle"
-                        else p.swap_to_backward()
-                    ),
-                    "forward", reset=rc.pipe.drop_residency,
+                guard.run(
+                    label, lambda p=rc.pipe: op(p), rc.pipe, phase,
+                    reset=rc.pipe.drop_residency if reset else None,
                 )
 
-        self._structural(guard, "backward", swap_all)
-        self.image = np.zeros(self.shape, dtype=np.float32)
-        # deterministic backward seed: the time-reverse starts from the
-        # final forward state, halved
-        self.global_field[...] = 0.5 * self.global_field
-        self._scatter()
-        bwd_name = self.mgp._backward_name()
-        bck = CheckpointStore(nt, period)
-        m = 0
-        while m < nt:
-            guard = self._guard()
-            if bck.is_checkpoint_step(m):
-                self._gather()
-                bck.save(m, self.global_field, {
-                    "global": self.global_field.copy(),
-                    "image": self.image.copy(),
-                })
-            try:
-                self._local_step()
-                for rc in list(self.mgp.ranks):
-                    try:
-                        self._rank_op(
-                            guard, rc, "backward_step", rc.pipe.backward_step,
-                            "backward",
-                        )
-                    except DeviceLostError as exc:
-                        self._redecompose(exc, "backward")
-                        raise _RestartNeeded(exc)
-                self._exchange(guard, bwd_name)
-                step = nt - 1 - m
-                if store.has(step):
-                    self._gather()
-                    self.image += store.load(step) * self.global_field
-                m += 1
-            except _RestartNeeded as exc:
-                m = self._restart(exc, guard, bck, "backward", m)
+        def sweep(method: str, phase: str, exchanged: str) -> None:
+            """One host step, one device step per card, one ghost swap."""
+            self._local_step()
+            for rc in list(self.mgp.ranks):
+                try:
+                    guard.run(method, getattr(rc.pipe, method), rc.pipe, phase)
+                except DeviceLostError as exc:
+                    self._redecompose(exc, phase)
+                    raise _RestartNeeded(exc)
+            self._exchange(guard, exchanged)
 
-        for rc in self.mgp.ranks:
-            self._rank_op(
-                guard, rc, "finalize",
-                lambda p=rc.pipe: p.finalize(
-                    with_image=p.options.image_on_gpu
-                ), "backward",
-            )
-        return self.image.copy()
+        def snapshot(n: int) -> None:
+            if store is not None:
+                self._gather()
+                store.save(n, self.global_field.copy())
+
+        def swap(_) -> None:
+            self._gather()
+            self._structural(guard, "backward", lambda: on_ranks(
+                "swap_to_backward", "forward",
+                lambda p: (
+                    p.restore_residency("backward")
+                    if p.phase == "idle"
+                    else p.swap_to_backward()
+                ),
+                reset=True,
+            ))
+            self.image = np.zeros(self.shape, dtype=np.float32)
+            # deterministic backward seed: the time-reverse starts from the
+            # final forward state, halved
+            self.global_field[...] = 0.5 * self.global_field
+            self._scatter()
+
+        def backward(n: int) -> None:
+            sweep("backward_step", "backward", self.mgp._backward_name())
+            if store.has(n):
+                self._gather()
+                self.image += store.load(n) * self.global_field
+
+        def finalize(_) -> None:
+            if mode == "modeling":
+                self._gather()
+                on_ranks("finalize", "forward", lambda p: p.finalize(with_image=False))
+            else:
+                on_ranks(
+                    "finalize", "backward",
+                    lambda p: p.finalize(with_image=p.options.image_on_gpu),
+                )
+
+        _walk_checkpointed(figure4(mode, nt, snap_period), {
+            "allocate": lambda _: self._structural(guard, "forward", lambda: on_ranks(
+                "allocate_forward", "idle", lambda p: p.allocate_forward(),
+                reset=True,
+            )),
+            "forward": lambda _: sweep("forward_step", "forward", self.mgp.primary),
+            "snapshot": snapshot,
+            "swap": swap,
+            "load_snapshot": lambda _: None,
+            "imaging": lambda _: None,
+            "backward": backward,
+            "finalize": finalize,
+        }, begin, restart)
+        return self.global_field.copy() if mode == "modeling" else self.image.copy()
 
 
 __all__ = [
