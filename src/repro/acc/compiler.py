@@ -32,6 +32,17 @@ from repro.utils.errors import ConfigurationError
 
 _CONSTRUCTS = ("kernels", "parallel")
 
+#: the defaults of an unspecified schedule / flags argument
+_AUTO_SCHEDULE = LoopSchedule.auto()
+_DEFAULT_FLAGS = CompileFlags()
+#: the schedules the paper found best: kernels + independent, letting PGI
+#: do the worksharing; explicit gang/worker/vector for CRAY
+_PGI_SCHEDULE = LoopSchedule(independent=True, vector_length=128)
+_CRAY_SCHEDULE = LoopSchedule.gwv(vector_length=128)
+
+#: CompilerPersona.lower's memo: key -> LaunchConfig
+_LOWERED: dict[tuple, LaunchConfig] = {}
+
 
 @dataclass(frozen=True)
 class CompilerPersona:
@@ -63,13 +74,46 @@ class CompilerPersona:
         flags: CompileFlags | None = None,
         async_queue: int | None = None,
     ) -> LaunchConfig:
-        """Map a compute construct + loop schedule onto a launch config."""
+        """Map a compute construct + loop schedule onto a launch config.
+
+        A pure function of values, memoised like
+        :func:`~repro.gpusim.kernelmodel.estimate_kernel_time`: the key is
+        the persona, the construct, the schedule, ``flags.maxregcount``,
+        the queue and the workload fields the rules read (nest depth,
+        ``has_branches``, ``inner_contiguous``). Errors are never memoised.
+        """
         if construct not in _CONSTRUCTS:
             raise ConfigurationError(
                 f"construct must be one of {_CONSTRUCTS}, got '{construct}'"
             )
-        schedule = schedule if schedule is not None else LoopSchedule.auto()
-        flags = flags if flags is not None else CompileFlags()
+        schedule = schedule if schedule is not None else _AUTO_SCHEDULE
+        flags = flags if flags is not None else _DEFAULT_FLAGS
+        key = (
+            self,
+            construct,
+            schedule,
+            flags.maxregcount,
+            async_queue,
+            len(workload.loop_dims),
+            workload.has_branches,
+            workload.inner_contiguous,
+        )
+        cfg = _LOWERED.get(key)
+        if cfg is None:
+            cfg = _LOWERED[key] = self._lower(
+                construct, workload, schedule, flags, async_queue
+            )
+        return cfg
+
+    def _lower(
+        self,
+        construct: str,
+        workload: KernelWorkload,
+        schedule: LoopSchedule,
+        flags: CompileFlags,
+        async_queue: int | None,
+    ) -> LaunchConfig:
+        """The uncached body of :meth:`lower`."""
         if self.vendor == "pgi":
             cfg = self._lower_pgi(construct, workload, schedule)
         else:
@@ -158,10 +202,7 @@ class CompilerPersona:
 
     def preferred_schedule(self) -> LoopSchedule:
         """The schedule the paper found best for this compiler."""
-        if self.vendor == "pgi":
-            # kernels + independent, let PGI do the worksharing
-            return LoopSchedule(independent=True, vector_length=128)
-        return LoopSchedule.gwv(vector_length=128)
+        return _PGI_SCHEDULE if self.vendor == "pgi" else _CRAY_SCHEDULE
 
 
 #: PGI 13.7 — first version the authors used; CUDA 5.0 backend, no

@@ -21,7 +21,7 @@ from repro.gpusim.memory import DeviceMemory
 from repro.gpusim.pcie import PCIE_GEN2_X16, PCIeModel, checked_transfer
 from repro.gpusim.profiler import ProfileEvent, Profiler
 from repro.gpusim.specs import CUDA_5_0, CudaToolkit, GPUSpec
-from repro.gpusim.streams import StreamPool
+from repro.gpusim.streams import ASYNC_ENQUEUE_COST, StreamPool
 from repro.propagators.base import KernelWorkload
 from repro.trace.tracer import Tracer
 from repro.utils.timer import SimClock
@@ -227,8 +227,6 @@ class Device:
                 est.seconds, self.spec.launch_overhead_s + host_admin
             )
         else:
-            from repro.gpusim.streams import ASYNC_ENQUEUE_COST
-
             start, end = self.streams.run_kernel_async(
                 queue,
                 est.seconds,

@@ -9,6 +9,7 @@ from repro.gpusim import (
     LaunchConfig,
     estimate_kernel_time,
     estimate_register_demand,
+    kernelmodel,
 )
 from repro.gpusim.specs import CUDA_5_0, CUDA_5_5
 from repro.propagators.base import KernelWorkload
@@ -173,3 +174,135 @@ class TestPropertyInvariants:
         e_low = estimate_kernel_time(K40, heavy, LaunchConfig(maxregcount=max(16, reg // 2)))
         e_high = estimate_kernel_time(K40, heavy, LaunchConfig(maxregcount=reg))
         assert e_low.spilled_regs >= e_high.spilled_regs
+
+
+# ----------------------------------------------------------------------
+# the memo (see the kernelmodel module docstring)
+# ----------------------------------------------------------------------
+#: the KernelWorkload fields the model reads, each with a changed value
+PRICED_CHANGES = {
+    "points": 255**3,
+    "flops_per_point": 41.0,
+    "writes_per_point": 3.0,
+    "loop_dims": (256 * 256, 256),
+    "address_streams": 7,
+    "has_branches": True,
+    "inner_contiguous": False,
+    "gather_axes": 3,
+}
+#: fields it does not read
+UNPRICED_CHANGES = {
+    "name": "other",
+    "reads_per_point": 99.0,
+    "loop_dims": (128, 512, 256),
+    "loop_carried": True,
+}
+
+
+def bits(est):
+    """Every field of an estimate, floats by their exact bits."""
+    return tuple(
+        (type(v), v.hex() if isinstance(v, float) else v)
+        for v in (getattr(est, f.name) for f in dataclasses.fields(est))
+    )
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    memo = {}
+    monkeypatch.setattr(kernelmodel, "_ESTIMATES", memo)
+    return memo
+
+
+launches = st.builds(
+    LaunchConfig,
+    threads_per_block=st.integers(min_value=1, max_value=1024),
+    maxregcount=st.none() | st.integers(min_value=16, max_value=255),
+    coalesced=st.booleans(),
+    gridified=st.booleans(),
+    collapsed_levels=st.integers(min_value=1, max_value=3),
+    async_queue=st.none() | st.integers(min_value=0, max_value=3),
+)
+workloads = st.builds(
+    wl,
+    points=st.integers(min_value=1, max_value=10**8),
+    flops_per_point=st.floats(min_value=0.0, max_value=500.0),
+    writes_per_point=st.floats(min_value=0.0, max_value=8.0),
+    loop_dims=st.lists(
+        st.integers(min_value=1, max_value=512), min_size=1, max_size=3
+    ).map(tuple),
+    address_streams=st.integers(min_value=1, max_value=16),
+    has_branches=st.booleans(),
+    inner_contiguous=st.booleans(),
+    gather_axes=st.integers(min_value=1, max_value=3),
+)
+
+
+class TestMemo:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([M2090, K40]),
+        st.sampled_from([CUDA_5_0, CUDA_5_5]),
+        st.none() | launches,
+        workloads,
+        st.text(max_size=3),
+        st.floats(min_value=0.0, max_value=64.0),
+    )
+    def test_memoised_equals_uncached_bitwise(
+        self, spec, toolkit, launch, w, name, reads
+    ):
+        """A hit, even one primed by a workload that differs only in
+        unpriced fields, returns exactly what the body computes."""
+        twin = dataclasses.replace(w, name=name, reads_per_point=reads)
+        estimate_kernel_time(spec, w, launch, toolkit)
+        got = estimate_kernel_time(spec, twin, launch, toolkit)
+        want = kernelmodel._estimate_kernel_time(
+            spec, twin, launch or LaunchConfig(), toolkit
+        )
+        assert bits(got) == bits(want)
+        assert got.efficiency.hex() == want.efficiency.hex()
+
+    def test_repeat_call_returns_memoised_object(self, fresh_memo):
+        a = estimate_kernel_time(K40, wl(), LaunchConfig(maxregcount=64))
+        b = estimate_kernel_time(K40, wl(), LaunchConfig(maxregcount=64))
+        assert a is b
+        assert len(fresh_memo) == 1
+
+    @pytest.mark.parametrize("field", sorted(PRICED_CHANGES))
+    def test_each_priced_field_gets_its_own_entry(self, fresh_memo, field):
+        base = estimate_kernel_time(K40, wl())
+        other = estimate_kernel_time(K40, wl(**{field: PRICED_CHANGES[field]}))
+        assert other is not base
+        assert len(fresh_memo) == 2
+
+    @pytest.mark.parametrize("field", sorted(UNPRICED_CHANGES))
+    def test_unpriced_fields_share_an_entry(self, fresh_memo, field):
+        base = estimate_kernel_time(K40, wl())
+        assert estimate_kernel_time(K40, wl(**{field: UNPRICED_CHANGES[field]})) is base
+        assert len(fresh_memo) == 1
+
+    def test_spec_toolkit_and_launch_are_part_of_the_key(self, fresh_memo):
+        w = wl()
+        estimate_kernel_time(K40, w)
+        estimate_kernel_time(M2090, w)
+        estimate_kernel_time(K40, w, toolkit=CUDA_5_5)
+        estimate_kernel_time(K40, w, LaunchConfig(threads_per_block=256))
+        assert len(fresh_memo) == 4
+
+    def test_mutated_workload_is_repriced(self, fresh_memo):
+        """KernelWorkload is mutable: the key is its values, not its id."""
+        w = wl()
+        before = estimate_kernel_time(K40, w)
+        w.points *= 2
+        after = estimate_kernel_time(K40, w)
+        assert after.seconds > before.seconds
+        assert bits(after) == bits(kernelmodel._estimate_kernel_time(
+            K40, w, LaunchConfig(), CUDA_5_0))
+
+    def test_out_of_range_threads_raise_on_every_call(self, fresh_memo):
+        bad = LaunchConfig()
+        object.__setattr__(bad, "threads_per_block", 0)
+        for _ in range(2):
+            with pytest.raises(ConfigurationError, match="threads_per_block"):
+                estimate_kernel_time(K40, wl(), bad)
+        assert fresh_memo == {}

@@ -83,6 +83,34 @@ class TestSpans:
             NULL_TRACER.instant("marker")
         assert NULL_TRACER.events == []
 
+    def test_disabled_span_is_one_shared_noop(self):
+        tr = Tracer(clock=FakeClock(), enabled=False)
+        first = tr.span("a", cat="x", shot=1)
+        assert first is tr.span("b") is NULL_TRACER.span("c")
+        with first as entered:
+            with first:  # reusable and re-entrant
+                pass
+        assert entered is None
+        assert tr.events == []
+
+    def test_disabled_span_propagates_exceptions(self):
+        tr = Tracer(clock=FakeClock(), enabled=False)
+        with pytest.raises(KeyError, match="boom"):
+            with tr.span("a"):
+                raise KeyError("boom")
+        assert tr.events == []
+
+    def test_enabled_span_records_and_propagates_exceptions(self):
+        clk = FakeClock()
+        tr = Tracer(clock=clk)
+        with pytest.raises(KeyError, match="boom"):
+            with tr.span("a", cat="x") as entered:
+                clk.t = 3.0
+                raise KeyError("boom")
+        assert entered is None
+        (ev,) = tr.events
+        assert (ev.name, ev.cat, ev.start, ev.end) == ("a", "x", 0.0, 3.0)
+
     def test_bind_default_clock_only_when_unbound(self):
         clk = FakeClock()
         tr = Tracer()  # wall clock by default
