@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import json
 
+from repro.analyze.dataflow.absint import interpret_program
 from repro.analyze.dataflow.crossrank import check_ranks
-from repro.analyze.dataflow.graph import DependenceGraph, detect_loops
+from repro.analyze.dataflow.graph import DependenceGraph
 from repro.analyze.dataflow.opportunities import (
     OpportunityReport,
     find_opportunities,
@@ -104,24 +105,30 @@ def run_deps_command(args) -> int:
     for label, mode, programs in targets:
         graph = DependenceGraph(programs)
         crossrank = check_ranks(programs) if len(programs) > 1 else None
-        report = find_opportunities(programs[0], verify=verify)
+        # one interpretation (and its loop regions) serves both the
+        # opportunity scan and the report; a multi-rank graph is not the
+        # single-program graph the scan reads
+        coherence = interpret_program(programs[0])
+        report = find_opportunities(
+            programs[0], graph=graph if len(programs) == 1 else None,
+            summary=coherence, verify=verify,
+        )
         report.case = label
         report.mode = mode
         report.program_sha = programs[0].sha()
         reports.append(report)
-        regions = detect_loops(programs[0])
-        summary = graph.summary()
+        counts = graph.summary()
         doc = {
             "case": label,
             "mode": mode,
             "ranks": len(programs),
-            "events": summary.get("events", 0),
+            "events": counts.get("events", 0),
             "edges": {
-                k: v for k, v in sorted(summary.items()) if k != "events"
+                k: v for k, v in sorted(counts.items()) if k != "events"
             },
             "loops": [
                 {"start": r.start, "period": r.period, "reps": r.reps}
-                for r in regions
+                for r in coherence.regions
             ],
             "opportunities": len(report.opportunities),
             "verified_opportunities": len(report.verified()),

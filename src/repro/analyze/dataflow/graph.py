@@ -32,6 +32,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.analyze.program import AccEvent, DirectiveProgram
 
 Node = tuple[int, int]  # (rank, event index)
@@ -85,31 +87,33 @@ def detect_loops(
 ) -> list[LoopRegion]:
     """Find non-overlapping maximal periodic regions (the time loops).
 
-    For each candidate period the longest run of ``sig[i] == sig[i+p]``
-    is found; regions are accepted greedily by covered length, smallest
+    Signatures are interned to integer ids; for each candidate period
+    every maximal run of ``sig[i] == sig[i+p]`` is found with array
+    compares. Regions are accepted greedily by covered length, smallest
     period first, so a 4-step snapshot cycle is reported as one region of
     period ``4 * step`` rather than many single steps.
     """
-    sigs = [_signature(e) for e in program.events]
+    ids: dict[tuple, int] = {}
+    sigs = np.array(
+        [ids.setdefault(_signature(e), len(ids)) for e in program.events],
+        dtype=np.int64,
+    )
     n = len(sigs)
     candidates: list[tuple[int, int, int]] = []  # (start, period, reps)
     for period in range(1, min(max_period, n // min_reps) + 1):
-        match = [False] * n
-        for i in range(n - period):
-            match[i] = sigs[i] == sigs[i + period]
-        i = 0
-        while i < n - period:
-            if not match[i]:
-                i += 1
-                continue
-            j = i
-            while j < n - period and match[j]:
-                j += 1
-            # sigs[i .. j+period) is periodic with this period
-            reps = (j + period - i) // period
-            if reps >= min_reps:
-                candidates.append((i, period, reps))
-            i = j + 1
+        # match[1 + i]: sigs[i] == sigs[i + period], zero-padded at both
+        # ends; each maximal run of matches [i, j) makes
+        # sigs[i .. j+period) periodic with this period
+        match = np.zeros(n - period + 2, dtype=np.int8)
+        match[1:-1] = sigs[:-period] == sigs[period:]
+        edges = np.diff(match)
+        starts = np.flatnonzero(edges == 1)
+        reps = (np.flatnonzero(edges == -1) + period - starts) // period
+        keep = reps >= min_reps
+        candidates.extend(
+            (start, period, r)
+            for start, r in zip(starts[keep].tolist(), reps[keep].tolist())
+        )
     # prefer large coverage; among equals, the smaller period (tighter loop)
     candidates.sort(key=lambda c: (-(c[1] * c[2]), c[1], c[0]))
     chosen: list[LoopRegion] = []

@@ -20,7 +20,7 @@ scan event streams without a visitor layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from repro.acc.clauses import LoopSchedule
 
@@ -155,6 +155,16 @@ class ProgramMeta:
     auto_async: bool = False
 
 
+def _reindexed(event: AccEvent, index: int) -> AccEvent:
+    """``dataclasses.replace(event, index=index)`` as a plain field copy.
+    The source was validated when it was built, and ``index`` takes part
+    in no check, so ``__init__`` and ``__post_init__`` need not run again."""
+    copy = object.__new__(event.__class__)
+    copy.__dict__.update(event.__dict__)
+    copy.__dict__["index"] = index
+    return copy
+
+
 class DirectiveProgram:
     """Ordered event sequence + known array extents.
 
@@ -176,8 +186,13 @@ class DirectiveProgram:
 
     def add(self, event: AccEvent, sizes: dict[str, int] | None = None) -> AccEvent:
         """Append ``event`` (re-indexed to its program position); ``sizes``
-        records the byte extents of any newly attached arrays."""
-        event = replace(event, index=len(self.events))
+        records the byte extents of any newly attached arrays.
+
+        Events are frozen and shared: one already carrying its position is
+        appended as it is, any other is copied with the new ``index``."""
+        index = len(self.events)
+        if event.index != index:
+            event = _reindexed(event, index)
         self.events.append(event)
         for name, nbytes in (sizes or {}).items():
             if nbytes:

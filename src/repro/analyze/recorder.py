@@ -48,9 +48,9 @@ class ProgramRecorder:
     # ------------------------------------------------------------------
     def record(self, kind: str, sizes: dict[str, int] | None = None, **fields) -> None:
         """The hook entry point: one directive executed by the runtime."""
-        self.program.add(
-            AccEvent(kind=kind, label=self._label, **fields), sizes=sizes
-        )
+        self.program.add(AccEvent(
+            kind=kind, index=len(self.program), label=self._label, **fields
+        ), sizes=sizes)
 
 
 __all__ = ["ProgramRecorder"]

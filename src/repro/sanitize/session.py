@@ -96,9 +96,9 @@ class _RankRecorder:
         self._label = label
 
     def record(self, kind: str, sizes=None, **fields) -> None:
-        event = self.program.add(
-            AccEvent(kind=kind, label=self._label, **fields), sizes=sizes
-        )
+        event = self.program.add(AccEvent(
+            kind=kind, index=len(self.program), label=self._label, **fields
+        ), sizes=sizes)
         self._session.observe(self._rank, event)
 
 
@@ -550,8 +550,9 @@ class SanitizeSession:
         dev, lo, n = self._face_range(rank, name, side, nbytes, ghost=False)
         if dev is None:
             return
-        event = self.programs[rank].add(AccEvent(
-            kind="send", var=dev, offset=lo, nbytes=n,
+        program = self.programs[rank]
+        event = program.add(AccEvent(
+            kind="send", index=len(program), var=dev, offset=lo, nbytes=n,
             peer=self._halo_peer(rank, axis, side),
             label=f"halo axis {axis} {side}",
         ))
@@ -563,8 +564,9 @@ class SanitizeSession:
         dev, lo, n = self._face_range(rank, name, side, nbytes, ghost=True)
         if dev is None:
             return
-        event = self.programs[rank].add(AccEvent(
-            kind="recv", var=dev, offset=lo, nbytes=n,
+        program = self.programs[rank]
+        event = program.add(AccEvent(
+            kind="recv", index=len(program), var=dev, offset=lo, nbytes=n,
             peer=self._halo_peer(rank, axis, side),
             label=f"halo axis {axis} {side}",
         ))
