@@ -133,11 +133,22 @@ def _cmd_tables(args) -> int:
     return 0
 
 
+#: the names ``repro figures NAME`` accepts
+_FIGURES = tuple(f"fig{n}" for n in range(6, 16)) + ("tuned",)
+
+
 def _cmd_figures(args) -> int:
     from repro.bench import figures
     from repro.bench.report import format_series
 
     wanted = args.name
+    if wanted is not None and wanted not in _FIGURES:
+        from repro.utils.errors import ConfigurationError
+
+        raise ConfigurationError(
+            f"unknown figure '{wanted}' (expected one of: "
+            f"{', '.join(_FIGURES)})"
+        )
     plan = _load_plan(args)
     tracer = _harness_tracer(args)
 
@@ -193,7 +204,7 @@ def _cmd_plan(args) -> int:
     from repro.core import plan_offload
     from repro.gpusim import K40, M2090
 
-    shape = tuple(int(n) for n in args.dims)
+    shape = tuple(args.dims)
     for spec in (M2090, K40):
         print(plan_offload(args.physics, shape, spec).report())
         print()
@@ -330,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="offload residency plan for one case")
     p.add_argument("physics", choices=["isotropic", "acoustic", "elastic", "vti"])
-    p.add_argument("dims", nargs="+", help="grid shape, e.g. 512 512 512")
+    p.add_argument("dims", nargs="+", type=int,
+                   help="grid shape, e.g. 512 512 512")
     p.set_defaults(fn=_cmd_plan)
 
     s = sub.add_parser("sweep", help="grid-size speedup sweep")
@@ -638,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "(capacity phases + discharged obligations)")
     va.add_argument("--fail-on", metavar="SEVERITY", default="error",
                     help="exit 1 on findings at/above this severity "
-                    "(info|warning|error; default error)")
+                    "(info|warning|error|none; default error)")
     va.add_argument("--format", choices=["text", "json", "sarif"],
                     default="text")
     _add_ledger_args(va)
@@ -652,4 +664,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    from repro.utils.errors import ConfigurationError
+
+    try:
+        sys.exit(main())
+    except ConfigurationError as exc:
+        # malformed input (a case spelling, a severity, a compiler name):
+        # one line on stderr and exit 2, never a traceback; argv[1] is the
+        # subcommand, since main() has parsed it
+        print(f"repro {sys.argv[1]}: {exc}", file=sys.stderr)
+        sys.exit(2)

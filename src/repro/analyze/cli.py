@@ -25,25 +25,13 @@ from repro.analyze.framework import (
     LintResult,
     Severity,
     deep_passes,
+    fail_on_status,
     lint_program,
-    parse_severity,
 )
 from repro.analyze.frontend import program_from_script
+from repro.analyze.program import ProgramMeta
+from repro.bench.workloads import RECORD_SHAPES, case_targets, space_order
 from repro.utils.errors import ConfigurationError
-
-#: reduced lint-recording grids (the directive sequence does not depend on
-#: the grid size; estimate mode makes even these instant)
-_SHAPES = {2: (96, 96), 3: (48, 48, 48)}
-
-#: the seed inventory: 3 physics x 2 dimensions (x both modes = 12 programs)
-_INVENTORY = (
-    ("isotropic", 2),
-    ("acoustic", 2),
-    ("elastic", 2),
-    ("isotropic", 3),
-    ("acoustic", 3),
-    ("elastic", 3),
-)
 
 
 def lint_case(
@@ -68,15 +56,14 @@ def lint_case(
             raise ConfigurationError(
                 f"unknown compiler '{compiler}' (expected one of: {known})"
             ) from None
-    shape = _SHAPES[ndim]
     return lint_pipeline(
         physics,
-        shape,
+        RECORD_SHAPES[ndim],
         mode,
         nt=nt,
         snap_period=4,
         options=options,
-        space_order=4 if ndim == 3 else 8,
+        space_order=space_order(ndim),
         boundary_width=8,
         name=f"{physics.upper()} {ndim}D ({mode})",
         passes=deep_passes() if deep else None,
@@ -88,29 +75,16 @@ def lint_targets(args) -> list[LintResult]:
     deep = bool(getattr(args, "deep", False))
     if getattr(args, "script", None):
         with open(args.script, encoding="utf-8") as fh:
-            program = program_from_script(fh.read())
-        program.meta = type(program.meta)(
-            source="script", name=args.script,
-        )
+            program = program_from_script(
+                fh.read(), meta=ProgramMeta(source="script", name=args.script)
+            )
         return [lint_program(program, deep_passes() if deep else None)]
-    case = getattr(args, "case", None)
-    if case is None:
-        raise ConfigurationError("lint needs a CASE (or 'all', or --script FILE)")
-    modes = ("modeling", "rtm") if args.mode == "both" else (args.mode,)
-    if case.lower() == "all":
-        return [
-            lint_case(physics, ndim, mode, nt=args.nt,
-                      compiler=args.compiler, deep=deep)
-            for physics, ndim in _INVENTORY
-            for mode in ("modeling", "rtm")
-        ]
-    from repro.trace.cli import parse_case
-
-    physics, ndim = parse_case(case)
     return [
-        lint_case(physics, ndim, mode, nt=args.nt,
-                  compiler=args.compiler, deep=deep)
-        for mode in modes
+        lint_case(physics, ndim, mode, nt=args.nt, compiler=args.compiler,
+                  deep=deep)
+        for physics, ndim, mode in case_targets(
+            getattr(args, "case", None), args.mode, "lint"
+        )
     ]
 
 
@@ -164,27 +138,13 @@ def _append_lint_ledger(args, results: list[LintResult]) -> None:
 
 def run_lint_command(args) -> int:
     """``python -m repro lint`` entry point (argparse namespace in)."""
-    from repro.analyze.report import format_json, format_sarif, format_text
+    from repro.analyze.report import print_report
 
     results = lint_targets(args)
-    fmt = getattr(args, "format", None) or (
-        "json" if getattr(args, "json", False) else "text"
-    )
-    if fmt == "json":
-        print(format_json(results))
-    elif fmt == "sarif":
-        print(format_sarif(results))
-    else:
-        for i, result in enumerate(results):
-            if i:
-                print()
-            print(format_text(result))
+    print_report(args, results)
     if getattr(args, "deep", False):
         _append_lint_ledger(args, results)
-    if args.fail_on.lower() == "none":
-        return 0
-    threshold = parse_severity(args.fail_on)
-    return 1 if any(r.fails(threshold) for r in results) else 0
+    return fail_on_status(results, args.fail_on)
 
 
 __all__ = [

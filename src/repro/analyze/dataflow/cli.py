@@ -29,30 +29,27 @@ from repro.analyze.dataflow.opportunities import (
 from repro.analyze.framework import Severity, parse_severity
 from repro.analyze.frontend import program_from_script
 from repro.analyze.program import DirectiveProgram, ProgramMeta
+from repro.bench.workloads import RECORD_SHAPES, case_targets, space_order
 from repro.utils.errors import ConfigurationError
 
 
 def _record_case(
     physics: str, ndim: int, mode: str, nt: int, ranks: int
 ) -> list[DirectiveProgram]:
-    from repro.analyze.cli import _SHAPES
     from repro.analyze.drivers import record_pipeline_program
     from repro.sanitize.drivers import sanitize_pipeline
 
-    shape = _SHAPES[ndim]
-    name = f"{physics.upper()} {ndim}D ({mode})"
+    kw = dict(
+        nt=nt, snap_period=4, space_order=space_order(ndim),
+        boundary_width=8, name=f"{physics.upper()} {ndim}D ({mode})",
+    )
     if ranks <= 1:
         return [record_pipeline_program(
-            physics, shape, mode, nt=nt, snap_period=4,
-            space_order=4 if ndim == 3 else 8,
-            boundary_width=8, name=name,
+            physics, RECORD_SHAPES[ndim], mode, **kw
         )]
-    result = sanitize_pipeline(
-        physics, shape, mode, ranks=ranks, nt=nt, snap_period=4,
-        space_order=4 if ndim == 3 else 8, boundary_width=8,
-        name=name,
-    )
-    return result.programs
+    return sanitize_pipeline(
+        physics, RECORD_SHAPES[ndim], mode, ranks=ranks, **kw
+    ).programs
 
 
 def deps_targets(args) -> list[tuple[str, str | None, list[DirectiveProgram]]]:
@@ -61,33 +58,18 @@ def deps_targets(args) -> list[tuple[str, str | None, list[DirectiveProgram]]]:
     ranks = int(getattr(args, "ranks", 1) or 1)
     if getattr(args, "script", None):
         with open(args.script, encoding="utf-8") as fh:
-            program = program_from_script(fh.read())
-        program.meta = ProgramMeta(source="script", name=args.script)
-        return [(args.script, None, [program])]
-    case = getattr(args, "case", None)
-    if case is None:
-        raise ConfigurationError("deps needs a CASE (or 'all', or --script FILE)")
-    modes = ("modeling", "rtm") if args.mode == "both" else (args.mode,)
-    if case.lower() == "all":
-        from repro.analyze.cli import _INVENTORY
-
-        return [
-            (
-                f"{physics}{ndim}d", mode,
-                _record_case(physics, ndim, mode, args.nt, ranks),
+            program = program_from_script(
+                fh.read(), meta=ProgramMeta(source="script", name=args.script)
             )
-            for physics, ndim in _INVENTORY
-            for mode in ("modeling", "rtm")
-        ]
-    from repro.trace.cli import parse_case
-
-    physics, ndim = parse_case(case)
+        return [(args.script, None, [program])]
     return [
         (
             f"{physics}{ndim}d", mode,
             _record_case(physics, ndim, mode, args.nt, ranks),
         )
-        for mode in modes
+        for physics, ndim, mode in case_targets(
+            getattr(args, "case", None), args.mode, "deps"
+        )
     ]
 
 

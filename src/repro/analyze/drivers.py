@@ -19,10 +19,10 @@ from repro.analyze.framework import (
     LintResult,
     Severity,
     lint_program,
+    refuse,
 )
 from repro.analyze.program import DirectiveProgram
 from repro.analyze.recorder import ProgramRecorder
-from repro.utils.errors import AnalysisError
 
 #: step/snapshot caps of the strict-mode dry run — the directive pattern is
 #: periodic, so a short run exhibits every per-step bug class
@@ -119,17 +119,10 @@ def check_schedule(
         pml_variant=pml_variant,
         name=f"{physics}-{len(shape)}d-{mode} (strict dry run)",
     )
-    if result.fails(fail_on):
-        worst = [d for d in result.diagnostics if d.severity >= fail_on]
-        head = "; ".join(
-            f"{d.rule}: {d.message}" for d in worst[:3]
-        )
-        more = f" (+{len(worst) - 3} more)" if len(worst) > 3 else ""
-        raise AnalysisError(
-            f"strict lint refused the {physics}-{len(shape)}d {mode} "
-            f"schedule: {len(worst)} finding(s) at or above "
-            f"{str(fail_on)} — {head}{more}"
-        )
+    refuse(
+        result.diagnostics, fail_on,
+        f"strict lint refused the {physics}-{len(shape)}d {mode} schedule",
+    )
     return result
 
 

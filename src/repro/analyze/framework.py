@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 
 from repro.analyze.program import DirectiveProgram
-from repro.utils.errors import ConfigurationError
+from repro.utils.errors import AnalysisError, ConfigurationError
 
 
 class Severity(IntEnum):
@@ -162,6 +162,31 @@ def lint_program(
     return LintResult(program, run_passes(program, passes))
 
 
+def fail_on_status(results, fail_on: str) -> int:
+    """The ``--fail-on`` exit status: 1 when any result has a finding at or
+    above the gate severity, 0 otherwise (always 0 for ``none``)."""
+    if fail_on.lower() == "none":
+        return 0
+    threshold = parse_severity(fail_on)
+    return 1 if any(r.fails(threshold) for r in results) else 0
+
+
+def refuse(
+    diagnostics, fail_on: Severity, what: str, noun: str = "finding(s)"
+) -> None:
+    """A strict gate's refusal: raise :class:`AnalysisError` as ``<what>:
+    N <noun> at or above S — <first three> (+k more)`` when any finding
+    reaches ``fail_on``."""
+    worst = [d for d in diagnostics if d.severity >= fail_on]
+    if worst:
+        head = "; ".join(f"{d.rule}: {d.message}" for d in worst[:3])
+        more = f" (+{len(worst) - 3} more)" if len(worst) > 3 else ""
+        raise AnalysisError(
+            f"{what}: {len(worst)} {noun} at or above {str(fail_on)} — "
+            f"{head}{more}"
+        )
+
+
 __all__ = [
     "Severity",
     "parse_severity",
@@ -172,4 +197,6 @@ __all__ = [
     "deep_passes",
     "run_passes",
     "lint_program",
+    "fail_on_status",
+    "refuse",
 ]

@@ -139,4 +139,36 @@ def format_sarif(results: list[LintResult], tool_name: str = "repro-lint") -> st
     return json.dumps(doc, indent=2)
 
 
-__all__ = ["format_text", "format_json", "format_sarif", "to_json_dict"]
+def report_format(args) -> str:
+    """``--format``, with ``--json`` as an alias of ``--format json``
+    where the command has it; ``text`` when neither is given."""
+    return getattr(args, "format", None) or (
+        "json" if getattr(args, "json", False) else "text"
+    )
+
+
+def print_report(args, results, tool_name: str = "repro-lint",
+                 text=format_text) -> None:
+    """Print ``results`` in the ``--format`` the namespace asks for:
+    JSON, SARIF under ``tool_name``, or each result through ``text``,
+    blank-line separated."""
+    fmt = report_format(args)
+    if fmt == "json":
+        print(format_json(results))
+    elif fmt == "sarif":
+        print(format_sarif(results, tool_name=tool_name))
+    else:
+        for i, result in enumerate(results):
+            if i:
+                print()
+            print(text(result))
+
+
+__all__ = [
+    "format_text",
+    "format_json",
+    "format_sarif",
+    "to_json_dict",
+    "report_format",
+    "print_report",
+]

@@ -36,8 +36,12 @@ from __future__ import annotations
 import json
 import sys
 
-from repro.analyze.framework import LintResult, Severity, parse_severity
-from repro.utils.errors import AnalysisError
+from repro.analyze.framework import (
+    LintResult,
+    Severity,
+    fail_on_status,
+    refuse,
+)
 
 __all__ = ["run_validate_command", "validate_request", "check_validate"]
 
@@ -51,6 +55,23 @@ def _phase_of(recording):
     return phase_of
 
 
+def _prove(program, mode: str, primary: str, nt: int, snap_period: int,
+           **capacity):
+    """Prove the program's device capacity, then (RTM only) whether the
+    backward phase survives restoring one ``primary`` wavefield."""
+    from repro.analyze.capacity import checkpoint_spike, prove_capacity
+
+    proof = prove_capacity(program, **capacity)
+    if mode == "rtm":
+        checkpoint_spike(
+            proof,
+            state_bytes=program.extents.get(primary, 0),
+            nt=nt,
+            snap_period=snap_period,
+        )
+    return proof
+
+
 def validate_request(request, options=None, platform=None, artifact=None,
                      plan=None) -> dict:
     """Run both provers for one :class:`CompileRequest`.
@@ -60,7 +81,6 @@ def validate_request(request, options=None, platform=None, artifact=None,
     compiled pipeline is None when compilation itself failed (its
     refusal message lands in ``error`` and counts as a finding).
     """
-    from repro.analyze.capacity import checkpoint_spike, prove_capacity
     from repro.compile.compiler import (
         _default_runtime_factory,
         compile_case,
@@ -73,21 +93,13 @@ def validate_request(request, options=None, platform=None, artifact=None,
         request, opts, _default_runtime_factory(opts, platform)
     )
     device = recording.pipeline.rt.device
-    proof = prove_capacity(
-        recording.program,
+    proof = _prove(
+        recording.program, request.mode, recording.pipeline.primary,
+        request.nt, request.snap_period,
         usable_bytes=device.memory.usable_bytes,
         device=device.spec.name,
         phase_of=_phase_of(recording),
     )
-    if request.mode == "rtm":
-        checkpoint_spike(
-            proof,
-            state_bytes=recording.program.extents.get(
-                recording.pipeline.primary, 0
-            ),
-            nt=request.nt,
-            snap_period=request.snap_period,
-        )
     diagnostics = list(proof.diagnostics)
     compiled = None
     error = None
@@ -167,6 +179,7 @@ def _print_target(label: str, outcome: dict) -> None:
 
 def run_validate_command(args) -> int:
     """``python -m repro validate`` entry point (argparse namespace in)."""
+    from repro.analyze.report import print_report, report_format
     from repro.compile.cli import compile_targets
     from repro.observe.ledger import append_run, ledger_path_from_args
     from repro.observe.runlog import RunLog
@@ -176,16 +189,9 @@ def run_validate_command(args) -> int:
     if getattr(args, "opportunities", None):
         with open(args.opportunities, encoding="utf-8") as fh:
             artifact = json.load(fh)
-    try:
-        targets = compile_targets(args)
-    except Exception as exc:  # bad case spelling
-        print(f"validate: {exc}")
-        return 2
-    fail_on = parse_severity(getattr(args, "fail_on", None) or "error")
+    targets = compile_targets(args)
     ledger_path = ledger_path_from_args(args)
-    fmt = getattr(args, "format", "text")
     outcomes: list[tuple[str, object, dict]] = []
-    failures = 0
     for label, request in targets:
         runlog = RunLog(
             command="validate", case=label, mode=request.mode, nt=request.nt
@@ -211,8 +217,6 @@ def run_validate_command(args) -> int:
                     sum(1 for a in compiled.applied if "->" in a.phase)
                 )
             append_run(ledger_path, runlog, metrics)
-        if outcome["error"] is not None or result.fails(fail_on):
-            failures += 1
         outcomes.append((label, request, outcome))
     if getattr(args, "artifact", None):
         doc = {
@@ -226,21 +230,14 @@ def run_validate_command(args) -> int:
             fh.write("\n")
         # stderr: --format json/sarif keep stdout machine-parseable
         print(f"wrote {args.artifact}", file=sys.stderr)
-    if fmt == "json":
-        from repro.analyze.report import format_json
-
-        print(format_json([o["result"] for _, _, o in outcomes]))
-    elif fmt == "sarif":
-        from repro.analyze.report import format_sarif
-
-        print(format_sarif(
-            [o["result"] for _, _, o in outcomes],
-            tool_name="repro-validate",
-        ))
-    else:
+    results = [o["result"] for _, _, o in outcomes]
+    if report_format(args) == "text":
         for label, _, outcome in outcomes:
             _print_target(label, outcome)
-    return 1 if failures else 0
+    else:
+        print_report(args, results, tool_name="repro-validate")
+    status = fail_on_status(results, args.fail_on)
+    return 1 if any(o["error"] is not None for _, _, o in outcomes) else status
 
 
 def check_validate(
@@ -262,7 +259,6 @@ def check_validate(
     would-OOM refusal happens here, before anything is allocated."""
     from dataclasses import replace
 
-    from repro.analyze.capacity import checkpoint_spike, prove_capacity
     from repro.analyze.drivers import record_pipeline_program
     from repro.core.inventory import primary_wavefield
     from repro.gpusim.memory import DeviceMemory
@@ -289,26 +285,13 @@ def check_validate(
         pml_variant=pml_variant,
         name=f"{physics}-{len(shape)}d-{mode} (validate dry run)",
     )
-    memory = DeviceMemory(platform.gpu.memory_bytes)
-    proof = prove_capacity(
-        program,
-        usable_bytes=memory.usable_bytes,
+    proof = _prove(
+        program, mode, primary_wavefield(physics), nt, snap_period,
+        usable_bytes=DeviceMemory(platform.gpu.memory_bytes).usable_bytes,
         device=platform.gpu.name,
     )
-    if mode == "rtm":
-        checkpoint_spike(
-            proof,
-            state_bytes=program.extents.get(primary_wavefield(physics), 0),
-            nt=nt,
-            snap_period=snap_period,
-        )
-    worst = [d for d in proof.diagnostics if d.severity >= fail_on]
-    if worst:
-        head = "; ".join(f"{d.rule}: {d.message}" for d in worst[:3])
-        more = f" (+{len(worst) - 3} more)" if len(worst) > 3 else ""
-        raise AnalysisError(
-            f"strict validate refused the {physics}-{len(shape)}d {mode} "
-            f"run: {len(worst)} finding(s) at or above {str(fail_on)} — "
-            f"{head}{more}"
-        )
+    refuse(
+        proof.diagnostics, fail_on,
+        f"strict validate refused the {physics}-{len(shape)}d {mode} run",
+    )
     return proof

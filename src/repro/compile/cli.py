@@ -13,13 +13,17 @@ refused, and optionally:
   ``BENCH_step.json`` document.
 
 Exit status: 0 when every target compiled and verified, 1 on a
-compilation/verification failure, 2 on a stale or malformed artifact.
+compilation/verification failure, 2 on a stale or malformed artifact. A
+malformed case spelling raises
+:class:`~repro.utils.errors.ConfigurationError` (exit 2 under ``python -m
+repro``).
 """
 
 from __future__ import annotations
 
 import json
 
+from repro.bench.workloads import case_targets, is_all
 from repro.compile.bench import DEFAULT_REPEATS, bench_document, measure_case
 from repro.compile.compiler import (
     CompiledPipeline,
@@ -34,28 +38,17 @@ __all__ = ["run_compile_command", "compile_targets"]
 
 
 def compile_targets(args) -> list[tuple[str, CompileRequest]]:
-    """Resolve the CLI namespace into ``(label, request)`` targets."""
+    """Resolve the CLI namespace into ``(label, request)`` targets; one
+    named case keeps its spelling in the label."""
     nt = int(getattr(args, "nt", 24) or 24)
-    modes = (
-        ("modeling", "rtm")
-        if args.mode == "both" else (args.mode,)
-    )
-    case = args.case
-    if case.lower() == "all":
-        from repro.analyze.cli import _INVENTORY
-
-        return [
-            (
-                f"{physics}{ndim}d ({mode})",
-                CompileRequest.from_case(f"{physics}{ndim}d", mode, nt=nt),
-            )
-            for physics, ndim in _INVENTORY
-            for mode in ("modeling", "rtm")
-        ]
-    return [
-        (f"{case} ({mode})", CompileRequest.from_case(case, mode, nt=nt))
-        for mode in modes
-    ]
+    targets = []
+    for physics, ndim, mode in case_targets(args.case, args.mode, "compile"):
+        case = f"{physics}{ndim}d"
+        label = case if is_all(args.case) else args.case
+        targets.append(
+            (f"{label} ({mode})", CompileRequest.from_case(case, mode, nt=nt))
+        )
+    return targets
 
 
 def _compile_one(request: CompileRequest, artifact, plan) -> CompiledPipeline:
@@ -163,11 +156,7 @@ def run_compile_command(args) -> int:
     if getattr(args, "opportunities", None):
         with open(args.opportunities, encoding="utf-8") as fh:
             artifact = json.load(fh)
-    try:
-        targets = compile_targets(args)
-    except Exception as exc:  # bad case spelling
-        print(f"compile: {exc}")
-        return 2
+    targets = compile_targets(args)
     repeats = int(getattr(args, "repeats", DEFAULT_REPEATS) or DEFAULT_REPEATS)
     want_bench = bool(getattr(args, "bench", None))
     ledger_path = ledger_path_from_args(args)

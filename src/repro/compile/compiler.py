@@ -114,16 +114,15 @@ class CompileRequest:
     def from_case(cls, case: str, mode: str, nt: int = 24) -> "CompileRequest":
         """Build a request from a seed-case spelling (``iso2d`` ...),
         using the exact recording parameters of ``repro deps``."""
-        from repro.analyze.cli import _SHAPES
-        from repro.trace.cli import parse_case
+        from repro.bench.workloads import RECORD_SHAPES, parse_case, space_order
 
         physics, ndim = parse_case(case)
         return cls(
             physics=physics,
-            shape=_SHAPES[ndim],
+            shape=RECORD_SHAPES[ndim],
             mode=mode,
             nt=nt,
-            space_order=4 if ndim == 3 else 8,
+            space_order=space_order(ndim),
         )
 
 

@@ -48,7 +48,6 @@ from repro.observe.report import (
 from repro.observe.runlog import RunLog, count, current_runlog, emit
 from repro.observe.scaling import (
     DEFAULT_RANKS,
-    SCALE_CASES,
     ScaleCaseResult,
     ScalePoint,
     assert_scaling_shape,
@@ -88,7 +87,6 @@ __all__ = [
     "count",
     # scaling
     "DEFAULT_RANKS",
-    "SCALE_CASES",
     "ScalePoint",
     "ScaleCaseResult",
     "run_scale_point",

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from repro.bench.workloads import SEED_CASES, is_all, parse_case, space_order
 from repro.observe.reduce import TraceReduction, reduce_trace
 from repro.utils.errors import ConfigurationError
 
@@ -38,8 +39,6 @@ SCALE_NT = 16
 SCALE_SNAP = 4
 #: default rank counts of the study (the acceptance sweep)
 DEFAULT_RANKS = (1, 2, 4, 8)
-#: the seed cases of the observatory sweep
-SCALE_CASES = ("iso2d", "ac2d", "el2d", "iso3d", "ac3d", "el3d")
 #: relative slack on monotonicity assertions (modelled clocks are exact,
 #: but slab remainders make per-rank work slightly uneven)
 SHAPE_TOL = 0.10
@@ -183,7 +182,6 @@ def run_scale_point(
     reduce the merged timeline."""
     from repro.core import GPUOptions
     from repro.core.multigpu import MultiGpuPipeline, estimate_multi_gpu_modeling
-    from repro.trace.cli import parse_case
     from repro.trace.tracer import Tracer
 
     if ranks < 1:
@@ -192,14 +190,14 @@ def run_scale_point(
         raise ConfigurationError(f"mode must be 'modeling' or 'rtm', not '{mode}'")
     physics, ndim = parse_case(case)
     shape = SCALE_SHAPES[ndim]
-    space_order = 4 if ndim == 3 else 8
+    order = space_order(ndim)
 
     rank_tracers = [Tracer() for _ in range(ranks)]
     merged = Tracer()
     pipeline = MultiGpuPipeline(
         physics, shape, ranks,
         options=GPUOptions(),
-        space_order=space_order,
+        space_order=order,
         boundary_width=8,
         tracers=rank_tracers,
         exchange_tracer=merged,
@@ -216,7 +214,7 @@ def run_scale_point(
 
     model = estimate_multi_gpu_modeling(
         physics, shape, nt, snap_period, ranks,
-        space_order=space_order, boundary_width=8,
+        space_order=order, boundary_width=8,
     )
     point = ScalePoint(
         ranks=ranks,
@@ -316,7 +314,6 @@ def run_scale_case(
     run ledger."""
     from repro.observe.ledger import append_run
     from repro.observe.runlog import RunLog
-    from repro.trace.cli import parse_case
 
     _, ndim = parse_case(case)
     points: list[ScalePoint] = []
@@ -337,7 +334,7 @@ def run_scale_case(
 
 
 def run_scale_sweep(
-    cases: tuple[str, ...] = SCALE_CASES,
+    cases: tuple[str, ...] = SEED_CASES,
     ranks: tuple[int, ...] = DEFAULT_RANKS,
     mode: str = "rtm",
     nt: int = SCALE_NT,
@@ -377,7 +374,7 @@ def run_scale_command(args) -> int:
     """``python -m repro scale`` entry point (argparse namespace in)."""
     from repro.observe.ledger import ledger_path_from_args
 
-    cases = SCALE_CASES if args.case == "all" else tuple(args.case.split(","))
+    cases = SEED_CASES if is_all(args.case) else tuple(args.case.split(","))
     ranks = parse_ranks(args.ranks)
     ledger_path = ledger_path_from_args(args)
     doc = run_scale_sweep(
@@ -428,7 +425,6 @@ def _point_from_json(doc: dict) -> ScalePoint:
 __all__ = [
     "SCALE_SHAPES",
     "SCALE_NT",
-    "SCALE_CASES",
     "DEFAULT_RANKS",
     "SHAPE_TOL",
     "ScalePoint",

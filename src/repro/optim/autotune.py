@@ -905,8 +905,7 @@ def request_for_case(
     """A :class:`TuneRequest` for a named seed case (``acoustic-2d``,
     ``iso3d`` ... — same grammar as the trace CLI), at the benchmark
     inventory's paper-scale grid shape."""
-    from repro.bench.workloads import modeling_case
-    from repro.trace.cli import parse_case
+    from repro.bench.workloads import modeling_case, parse_case
 
     physics, ndim = parse_case(case)
     spec = modeling_case(physics, ndim)

@@ -23,6 +23,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.bench.workloads import (
+    SEED_CASES,
+    expand_modes,
+    is_all,
+    parse_case,
+    small_case_config,
+    space_order,
+)
 from repro.resilience.faults import (
     DEVICE_KINDS,
     MPI_KINDS,
@@ -44,9 +52,6 @@ from repro.utils.errors import ConfigurationError, ReproError
 #: once per fault kind plus the reference
 CHAOS_SHAPES = {2: (64, 64), 3: (32, 32, 32)}
 
-#: the 6 physics/dimensionality seed cases (each runs in both modes)
-CASES = ("iso2d", "ac2d", "el2d", "iso3d", "ac3d", "el3d")
-
 #: fault kinds exercised per world size
 SINGLE_RANK_KINDS = DEVICE_KINDS
 MULTI_RANK_KINDS = DEVICE_KINDS + MPI_KINDS + (RANK_DEAD,)
@@ -62,26 +67,6 @@ def _equivalent(a: np.ndarray, b: np.ndarray) -> tuple[bool, str]:
     if a.shape == b.shape and np.allclose(a, b, rtol=_RTOL, atol=_ATOL):
         return True, "allclose"
     return False, "mismatch"
-
-
-def _chaos_config(case: str, nt: int):
-    """Build the (physics, ndim, config kwargs) of one chaos case."""
-    from repro.model import layered_model
-    from repro.trace.cli import parse_case
-
-    physics, ndim = parse_case(case)
-    shape = CHAOS_SHAPES[ndim]
-    depth = shape[0] * 10.0 / 2
-    model = layered_model(
-        shape, spacing=10.0, interfaces=[depth],
-        velocities=[1500.0, 2600.0], vs_ratio=0.5,
-    )
-    kw = dict(
-        physics=physics, model=model, nt=nt, peak_freq=12.0,
-        space_order=4 if ndim == 3 else 8,
-        boundary_width=8, snap_period=4,
-    )
-    return physics, ndim, kw
 
 
 def _min_rank_envelope(injector: FaultInjector, ranks: int) -> dict[str, int]:
@@ -139,7 +124,8 @@ def run_chaos_case(
 
     if mode not in ("modeling", "rtm"):
         raise ConfigurationError(f"mode must be 'modeling' or 'rtm', not '{mode}'")
-    _, _, kw = _chaos_config(case, nt)
+    physics, ndim = parse_case(case)
+    kw = small_case_config(physics, CHAOS_SHAPES[ndim], nt)
     cfg_cls = RTMConfig if mode == "rtm" else ModelingConfig
 
     def build(plan, inj_tracer=None):
@@ -207,7 +193,7 @@ def run_chaos_case_multigpu(
         raise ConfigurationError(f"mode must be 'modeling' or 'rtm', not '{mode}'")
     if ranks < 2:
         raise ConfigurationError("multi-GPU chaos needs ranks >= 2")
-    physics, ndim, _ = _chaos_config(case, nt)
+    physics, ndim = parse_case(case)
     shape = CHAOS_SHAPES[ndim]
     snap = 4
 
@@ -217,7 +203,7 @@ def run_chaos_case_multigpu(
             plan=plan,
             backoff=BackoffPolicy(seed=seed),
             boundary_width=8,
-            space_order=4 if ndim == 3 else 8,
+            space_order=space_order(ndim),
             seed=seed,
             tracer=inj_tracer,
         )
@@ -264,7 +250,7 @@ def run_chaos_campaign(
     tracer=None,
 ) -> ResilienceReport:
     """The full campaign: every case x mode x fault kind."""
-    cases = tuple(cases) if cases else CASES
+    cases = tuple(cases) if cases else SEED_CASES
     report = ResilienceReport(seed=seed, ranks=ranks)
     for case in cases:
         for mode in modes:
@@ -297,14 +283,10 @@ def run_chaos_command(args) -> int:
 
         tracer = Tracer()
 
-    modes = (
-        ("modeling", "rtm")
-        if args.mode == "both"
-        else (args.mode,)
-    )
     from repro.observe import RunLog, append_run, ledger_path_from_args
 
-    cases = None if args.case == "all" else (args.case,)
+    modes = expand_modes(args.mode)
+    cases = None if is_all(args.case) else (args.case,)
     runlog = RunLog(command="chaos", case=args.case, mode=args.mode,
                     ranks=args.ranks, seed=args.seed)
     with runlog.activate():
@@ -350,7 +332,6 @@ def run_chaos_command(args) -> int:
 
 
 __all__ = [
-    "CASES",
     "CHAOS_SHAPES",
     "SINGLE_RANK_KINDS",
     "MULTI_RANK_KINDS",

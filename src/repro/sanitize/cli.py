@@ -17,8 +17,8 @@ picks the report (``--json`` is kept as an alias of ``--format json``).
 
 from __future__ import annotations
 
-from repro.analyze.cli import _INVENTORY, _SHAPES
-from repro.analyze.framework import parse_severity
+from repro.analyze.framework import fail_on_status
+from repro.bench.workloads import RECORD_SHAPES, case_targets, space_order
 from repro.sanitize.drivers import sanitize_pipeline, sanitize_script
 from repro.sanitize.fixit import apply_fixes, collect_fixes
 from repro.sanitize.session import SanitizeResult
@@ -33,15 +33,14 @@ def sanitize_case(
     nt: int = 8,
 ) -> SanitizeResult:
     """Sanitize one seed case at a reduced grid."""
-    shape = _SHAPES[ndim]
     return sanitize_pipeline(
         physics,
-        shape,
+        RECORD_SHAPES[ndim],
         mode,
         ranks=ranks,
         nt=nt,
         snap_period=4,
-        space_order=4 if ndim == 3 else 8,
+        space_order=space_order(ndim),
         boundary_width=8,
         name=f"{physics.upper()} {ndim}D ({mode}, {ranks} rank"
         + ("s)" if ranks != 1 else ")"),
@@ -54,25 +53,12 @@ def sanitize_targets(args) -> list[SanitizeResult]:
         with open(args.script, encoding="utf-8") as fh:
             text = fh.read()
         return [sanitize_script(text, name=args.script)]
-    case = getattr(args, "case", None)
-    if case is None:
-        raise ConfigurationError(
-            "sanitize needs a CASE (or 'all', or --script FILE)"
-        )
     ranks = int(getattr(args, "ranks", 1) or 1)
-    modes = ("modeling", "rtm") if args.mode == "both" else (args.mode,)
-    if case.lower() == "all":
-        return [
-            sanitize_case(physics, ndim, mode, ranks=ranks, nt=args.nt)
-            for physics, ndim in _INVENTORY
-            for mode in ("modeling", "rtm")
-        ]
-    from repro.trace.cli import parse_case
-
-    physics, ndim = parse_case(case)
     return [
         sanitize_case(physics, ndim, mode, ranks=ranks, nt=args.nt)
-        for mode in modes
+        for physics, ndim, mode in case_targets(
+            getattr(args, "case", None), args.mode, "sanitize"
+        )
     ]
 
 
@@ -103,15 +89,12 @@ def _run_fix(args) -> int:
     from repro.analyze.report import format_text
 
     print(format_text(revalidated, title=f"repro sanitize — {out_path}"))
-    threshold_name = getattr(args, "fail_on", "error")
-    if threshold_name.lower() == "none":
-        return 0
-    return 1 if revalidated.fails(parse_severity(threshold_name)) else 0
+    return fail_on_status([revalidated], getattr(args, "fail_on", "error"))
 
 
 def run_sanitize_command(args) -> int:
     """``python -m repro sanitize`` entry point (argparse namespace in)."""
-    from repro.analyze.report import format_json, format_sarif, format_text
+    from repro.analyze.report import format_text, print_report
 
     if getattr(args, "fix", False):
         if not getattr(args, "script", None):
@@ -122,24 +105,11 @@ def run_sanitize_command(args) -> int:
         return _run_fix(args)
 
     results = sanitize_targets(args)
-    fmt = getattr(args, "format", None) or (
-        "json" if getattr(args, "json", False) else "text"
+    print_report(
+        args, results, tool_name="repro-sanitize",
+        text=lambda r: format_text(r, title=f"repro sanitize — {r.name}"),
     )
-    if fmt == "json":
-        print(format_json(results))
-    elif fmt == "sarif":
-        print(format_sarif(results, tool_name="repro-sanitize"))
-    else:
-        for i, result in enumerate(results):
-            if i:
-                print()
-            print(format_text(
-                result, title=f"repro sanitize — {result.name}"
-            ))
-    if args.fail_on.lower() == "none":
-        return 0
-    threshold = parse_severity(args.fail_on)
-    return 1 if any(r.fails(threshold) for r in results) else 0
+    return fail_on_status(results, args.fail_on)
 
 
 __all__ = ["run_sanitize_command", "sanitize_targets", "sanitize_case"]

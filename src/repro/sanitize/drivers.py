@@ -17,11 +17,10 @@ of ``strict_lint``/:func:`repro.analyze.drivers.check_schedule`.
 
 from __future__ import annotations
 
-from repro.analyze.framework import Severity
+from repro.analyze.framework import Severity, refuse
 from repro.analyze.frontend import program_from_script
 from repro.analyze.program import ProgramMeta
 from repro.sanitize.session import SanitizeResult, SanitizeSession
-from repro.utils.errors import AnalysisError
 
 #: dry-run caps of the strict gate — the exchange pattern is periodic, so a
 #: short run exhibits every per-step hazard
@@ -116,15 +115,11 @@ def check_sanitize(
         boundary_width=boundary_width,
         name=f"{physics}-{len(shape)}d-{mode} (sanitize dry run)",
     )
-    if result.fails(fail_on):
-        worst = [d for d in result.diagnostics if d.severity >= fail_on]
-        head = "; ".join(f"{d.rule}: {d.message}" for d in worst[:3])
-        more = f" (+{len(worst) - 3} more)" if len(worst) > 3 else ""
-        raise AnalysisError(
-            f"sanitizer refused the {physics}-{len(shape)}d {mode} "
-            f"schedule: {len(worst)} hazard(s) at or above "
-            f"{str(fail_on)} — {head}{more}"
-        )
+    refuse(
+        result.diagnostics, fail_on,
+        f"sanitizer refused the {physics}-{len(shape)}d {mode} schedule",
+        noun="hazard(s)",
+    )
     return result
 
 

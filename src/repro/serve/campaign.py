@@ -29,6 +29,12 @@ import json
 
 import numpy as np
 
+from repro.bench.workloads import (
+    SEED_CASES,
+    is_all,
+    parse_case,
+    small_case_config,
+)
 from repro.core.config import RTMConfig
 from repro.core.survey import run_survey, shot_line
 from repro.resilience.faults import FaultPlan, parse_faults
@@ -36,7 +42,7 @@ from repro.serve.service import SurveyScheduler
 from repro.utils.errors import ConfigurationError
 
 #: the 2-D seed cases (:func:`run_survey` is 2-D only)
-SERVE_CASES = ("iso2d", "ac2d", "el2d")
+SERVE_CASES = tuple(c for c in SEED_CASES if c.endswith("2d"))
 #: campaign grid size (chaos-sized: many resilient runs per sweep)
 SERVE_SHAPE = (64, 64)
 DEFAULT_NT = 24
@@ -49,24 +55,12 @@ BENCH_SCHEMA = 1
 def serve_case_config(case: str, nt: int = DEFAULT_NT) -> RTMConfig:
     """Build one serve case's survey config (layered model, chaos-style
     acquisition)."""
-    from repro.model import layered_model
-    from repro.trace.cli import parse_case
-
     physics, ndim = parse_case(case)
     if ndim != 2:
         raise ConfigurationError(
             f"serve case '{case}' is {ndim}-D; surveys are 2-D only"
         )
-    shape = SERVE_SHAPE
-    depth = shape[0] * 10.0 / 2
-    model = layered_model(
-        shape, spacing=10.0, interfaces=[depth],
-        velocities=[1500.0, 2600.0], vs_ratio=0.5,
-    )
-    return RTMConfig(
-        physics=physics, model=model, nt=nt, peak_freq=12.0,
-        space_order=8, boundary_width=8, snap_period=4,
-    )
+    return RTMConfig(**small_case_config(physics, SERVE_SHAPE, nt))
 
 
 def _golden(config: RTMConfig, xs: list[int]):
@@ -253,7 +247,7 @@ def run_serve_command(args) -> int:
     from repro.observe.scaling import parse_ranks
 
     cases = (
-        SERVE_CASES if args.case == "all" else tuple(args.case.split(","))
+        SERVE_CASES if is_all(args.case) else tuple(args.case.split(","))
     )
     workers = parse_ranks(args.workers)
     ledger_path = ledger_path_from_args(args)

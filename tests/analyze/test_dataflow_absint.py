@@ -9,10 +9,11 @@ the matching ``DF*`` code and a non-empty event-chain witness.
 import pytest
 
 from repro.analyze import program_from_script
-from repro.analyze.cli import _INVENTORY, lint_case
+from repro.analyze.cli import lint_case
 from repro.analyze.dataflow import interpret_program
 from repro.analyze.framework import Severity
 from repro.analyze.rules import rule
+from repro.bench.workloads import SEED_PAIRS as _INVENTORY
 from repro.sanitize import sanitize_script
 
 #: rule key -> the fault-seeded script both detectors must flag

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analyze.cli import _INVENTORY, _SHAPES
+from repro.bench.workloads import RECORD_SHAPES as _SHAPES, SEED_PAIRS as _INVENTORY
 from repro.analyze.dataflow import (
     OpportunityReport,
     apply_opportunity,

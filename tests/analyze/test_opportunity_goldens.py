@@ -28,7 +28,7 @@ import json
 
 import pytest
 
-from repro.analyze.cli import _INVENTORY, _SHAPES
+from repro.bench.workloads import RECORD_SHAPES as _SHAPES, SEED_PAIRS as _INVENTORY
 from repro.analyze.dataflow import detect_loops, find_opportunities
 from repro.analyze.drivers import record_pipeline_program
 from repro.compile import CompileRequest, compile_case

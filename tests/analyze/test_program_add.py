@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.acc.clauses import LoopSchedule
-from repro.analyze.cli import _SHAPES
+from repro.bench.workloads import RECORD_SHAPES as _SHAPES
 from repro.analyze.dataflow.opportunities import (
     OptimizationOpportunity,
     apply_opportunity,

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.acc.compiler import CRAY_8_2_6, PGI_14_6
-from repro.analyze.cli import _INVENTORY, _SHAPES
+from repro.bench.workloads import RECORD_SHAPES as _SHAPES, SEED_PAIRS as _INVENTORY
 from repro.analyze.drivers import record_pipeline_program
 from repro.core.config import GPUOptions, ModelingConfig, RTMConfig
 from repro.core.modeling import estimate_modeling, run_modeling

@@ -88,3 +88,54 @@ class TestTuneCommand:
         out = capsys.readouterr().out
         assert "Auto-tuned" in out
         assert "default" in out and "auto-tuned" in out
+
+
+#: every subcommand that takes a seed-case spelling
+CASE_COMMANDS = (
+    "trace", "lint", "deps", "sanitize", "chaos",
+    "tune", "scale", "serve", "compile", "validate",
+)
+
+
+class TestMalformedInput:
+    """``python -m repro`` turns a ConfigurationError into one stderr line
+    and exit status 2 — never a traceback."""
+
+    @pytest.mark.parametrize("command", CASE_COMMANDS)
+    def test_unknown_case_exits_two(self, command, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", command, "bogus"],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"repro {command}: unknown case 'bogus'")
+        assert "iso{2d,3d}, ac{2d,3d}, el{2d,3d}" in proc.stderr
+
+    def test_all_is_case_insensitive(self, capsys):
+        assert main(["lint", "ALL", "--no-ledger", "--format", "json"]) == 0
+        upper = capsys.readouterr().out
+        assert main(["lint", "all", "--no-ledger", "--format", "json"]) == 0
+        assert capsys.readouterr().out == upper
+
+    def test_validate_fail_on_none(self, capsys):
+        assert main([
+            "validate", "iso2d", "--mode", "rtm", "--nt", "8",
+            "--fail-on", "none", "--no-ledger",
+        ]) == 0
+        assert "repro validate" in capsys.readouterr().out
+
+    def test_bad_severity_is_typed(self):
+        from repro.utils.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="unknown severity"):
+            main(["validate", "iso2d", "--mode", "rtm", "--nt", "8",
+                  "--fail-on", "fatal", "--no-ledger"])
