@@ -14,17 +14,14 @@ import json
 import pytest
 
 from benchmarks.conftest import emit, run_once
-from repro.observe.scaling import (
-    DEFAULT_RANKS,
-    SCALE_CASES,
-    run_scale_sweep,
-)
+from repro.bench.workloads import SEED_CASES
+from repro.observe.scaling import DEFAULT_RANKS, run_scale_sweep
 
 OUT = "BENCH_scaling.json"
 
 
 def _sweep() -> dict:
-    return run_scale_sweep(cases=SCALE_CASES, ranks=DEFAULT_RANKS,
+    return run_scale_sweep(cases=SEED_CASES, ranks=DEFAULT_RANKS,
                            mode="rtm", ledger_path=None)
 
 
@@ -52,16 +49,16 @@ def test_scaling_regenerates(benchmark):
         "Multi-rank scaling observatory (executed pipeline, ranks 1-8)",
         "\n".join(lines) + f"\n  wrote {OUT}",
     )
-    assert len(doc["cases"]) == len(SCALE_CASES)
+    assert len(doc["cases"]) == len(SEED_CASES)
 
 
 class TestShape:
-    @pytest.mark.parametrize("name", SCALE_CASES)
+    @pytest.mark.parametrize("name", SEED_CASES)
     def test_shape_holds(self, doc, name):
         case = doc["cases"][name]
         assert case["shape_ok"], case["violations"]
 
-    @pytest.mark.parametrize("name", SCALE_CASES)
+    @pytest.mark.parametrize("name", SEED_CASES)
     def test_every_point_carries_per_rank_overlap(self, doc, name):
         for p in doc["cases"][name]["points"]:
             assert len(p["per_rank"]) == p["ranks"]
@@ -69,7 +66,7 @@ class TestShape:
                 assert 0.0 <= rank["comm_overlap_fraction"] <= 1.0
                 assert 0.0 <= rank["transfer_overlap_fraction"] <= 1.0
 
-    @pytest.mark.parametrize("name", SCALE_CASES)
+    @pytest.mark.parametrize("name", SEED_CASES)
     def test_comm_appears_beyond_one_rank(self, doc, name):
         points = {p["ranks"]: p for p in doc["cases"][name]["points"]}
         assert points[1]["comm_s"] == 0.0

@@ -21,7 +21,7 @@ timing follows :mod:`repro.gpusim`.
 """
 
 from repro.acc.clauses import LoopSchedule, CompileFlags, IneffectiveDirectiveWarning
-from repro.acc.minfo import minfo, explain_lowering
+from repro.acc.minfo import minfo
 from repro.acc.compiler import (
     CompilerPersona,
     PGI_13_7,
@@ -38,7 +38,6 @@ __all__ = [
     "CompileFlags",
     "IneffectiveDirectiveWarning",
     "minfo",
-    "explain_lowering",
     "CompilerPersona",
     "PGI_13_7",
     "PGI_14_3",

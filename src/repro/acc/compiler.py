@@ -263,3 +263,14 @@ COMPILERS = {
     "pgi-14.6": PGI_14_6,
     "cray-8.2.6": CRAY_8_2_6,
 }
+
+
+def compiler_named(name: str) -> CompilerPersona:
+    """The persona a ``--compiler`` value names (a key of :data:`COMPILERS`)."""
+    try:
+        return COMPILERS[name]
+    except KeyError:
+        known = ", ".join(sorted(COMPILERS))
+        raise ConfigurationError(
+            f"unknown compiler '{name}' (expected one of: {known})"
+        ) from None

@@ -95,20 +95,3 @@ def minfo(
             )
         msgs.append(f"       registers: {allocated} (demand {demand})")
     return msgs
-
-
-def explain_lowering(
-    persona: CompilerPersona,
-    workload: KernelWorkload,
-    flags: CompileFlags | None = None,
-) -> str:
-    """One-call report for the persona's *preferred* construct/schedule —
-    what `Runtime.compute` would do."""
-    lines = minfo(
-        persona,
-        persona.preferred_construct(),
-        workload,
-        persona.preferred_schedule(),
-        flags,
-    )
-    return "\n".join(lines)

@@ -31,7 +31,6 @@ from repro.analyze.framework import (
 from repro.analyze.frontend import program_from_script
 from repro.analyze.program import ProgramMeta
 from repro.bench.workloads import RECORD_SHAPES, case_targets, space_order
-from repro.utils.errors import ConfigurationError
 
 
 def lint_case(
@@ -43,19 +42,13 @@ def lint_case(
     deep: bool = False,
 ) -> LintResult:
     """Record one seed case at a reduced grid and lint it."""
-    from repro.acc.compiler import COMPILERS
+    from repro.acc.compiler import compiler_named
     from repro.analyze.drivers import lint_pipeline
     from repro.core.config import GPUOptions
 
     options = GPUOptions()
     if compiler is not None:
-        try:
-            options.compiler = COMPILERS[compiler]
-        except KeyError:
-            known = ", ".join(sorted(COMPILERS))
-            raise ConfigurationError(
-                f"unknown compiler '{compiler}' (expected one of: {known})"
-            ) from None
+        options.compiler = compiler_named(compiler)
     return lint_pipeline(
         physics,
         RECORD_SHAPES[ndim],

@@ -36,12 +36,11 @@ from repro.analyze.program import AccEvent, DirectiveProgram
 from repro.analyze.rules import rule
 from repro.sanitize.shadow import (
     UNKNOWN_EXTENT,
-    describe,
+    format_ranges,
+    ghost_requirement,
     normalize,
     subtract_interval,
 )
-
-_ITEMSIZE = 4  # float32 wavefields throughout the reproduction
 
 #: a caused interval: ``[lo, hi)`` dirtied by event ``cause``
 Civ = tuple[int, int, int]
@@ -199,12 +198,6 @@ class CoherenceSummary:
         return not self.diagnostics
 
 
-def _fmt(intervals: list[tuple[int, int]]) -> str:
-    if any(hi >= UNKNOWN_EXTENT for _, hi in intervals):
-        return "the full extent"
-    return "bytes " + describe(intervals)
-
-
 class _Engine:
     """The transfer functions + diagnostic collection."""
 
@@ -281,7 +274,7 @@ class _Engine:
                 self._emit(
                     "stale-device-read",
                     rule("stale-device-read").format_alt(
-                        var=name, ranges=_fmt(_coverage(stale))
+                        var=name, ranges=format_ranges(_coverage(stale))
                     ),
                     e, self._witness(stale, e.index), var=name,
                 )
@@ -370,19 +363,11 @@ class _Engine:
                 lo, hi = st._range(0, None)
                 st.dev_dirty = _civ_add(st.dev_dirty, lo, hi, e.index)
 
-    def _ghost_requirement(self, e: AccEvent) -> int | None:
-        if not e.halo or len(e.loop_dims) < 2:
-            return None
-        plane = _ITEMSIZE
-        for d in e.loop_dims[1:]:
-            plane *= int(d)
-        return int(e.halo) * plane
-
     def _classify_device_stale(
         self, state: _State, e: AccEvent, name: str,
         st: _ArrayState, stale: list[Civ],
     ) -> None:
-        required = self._ghost_requirement(e)
+        required = ghost_requirement(e)
         coverage = _coverage(stale)
         for idx in sorted(state.last_partial.get(name, ())):
             last = self.program.events[idx]
@@ -401,7 +386,7 @@ class _Engine:
                         rule("short-ghost-transfer").format(
                             var=name, moved=int(last.nbytes or 0),
                             halo=e.halo, required=required,
-                            kernel=e.kernel, ranges=_fmt(coverage),
+                            kernel=e.kernel, ranges=format_ranges(coverage),
                         ),
                         e, self._witness(stale, idx, e.index),
                         var=name, kernel=e.kernel,
@@ -411,7 +396,7 @@ class _Engine:
             "stale-device-read",
             rule("stale-device-read").format(
                 consumer=f"kernel '{e.kernel}'", var=name,
-                ranges=_fmt(coverage),
+                ranges=format_ranges(coverage),
             ),
             e, self._witness(stale, e.index), var=name, kernel=e.kernel,
         )
@@ -459,7 +444,7 @@ class _Engine:
             self._emit(
                 "stale-host-read",
                 rule("stale-host-read").format(
-                    consumer=what, var=name, ranges=_fmt(_coverage(stale)),
+                    consumer=what, var=name, ranges=format_ranges(_coverage(stale)),
                 ),
                 e, self._witness(stale, e.index), var=name,
             )

@@ -21,7 +21,7 @@ flags the lifetime bugs the paper fights by hand in its Section 5.1:
 from __future__ import annotations
 
 from repro.analyze.framework import Diagnostic, LintPass, Severity
-from repro.analyze.program import AccEvent, DirectiveProgram
+from repro.analyze.program import DirectiveProgram
 
 #: enter/exit cycles of one name set before we suggest hoisting
 HOIST_THRESHOLD = 3

@@ -10,7 +10,7 @@
   side-by-side comparison in EXPERIMENTS.md.
 """
 
-from repro.bench.workloads import CaseSpec, modeling_case, ALL_CASES, case_name
+from repro.bench.workloads import CaseSpec, modeling_case, ALL_CASES
 from repro.bench.table3 import table3_rows, format_table3
 from repro.bench.table4 import table4_rows, format_table4
 from repro.bench.report import (
@@ -22,7 +22,6 @@ from repro.bench.report import (
 from repro.bench.sweeps import (
     SweepPoint,
     grid_size_sweep,
-    snapshot_period_sweep,
     achieved_bandwidth_sweep,
 )
 from repro.bench import figures
@@ -32,7 +31,6 @@ __all__ = [
     "CaseSpec",
     "modeling_case",
     "ALL_CASES",
-    "case_name",
     "table3_rows",
     "format_table3",
     "table4_rows",
@@ -43,7 +41,6 @@ __all__ = [
     "format_speedup_table",
     "SweepPoint",
     "grid_size_sweep",
-    "snapshot_period_sweep",
     "achieved_bandwidth_sweep",
     "figures",
     "paper_data",

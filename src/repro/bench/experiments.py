@@ -242,7 +242,7 @@ def generate(path: str = "EXPERIMENTS.md") -> str:
 
     out.append("## Extensions beyond the paper")
     out.append("")
-    from repro.core import estimate_multi_gpu_modeling, scaling_study
+    from repro.core import scaling_study
 
     study = scaling_study("acoustic", (512, 512, 512), 100, 10, gpu_counts=(1, 2, 4, 8))
     base = study[1]

@@ -4,22 +4,18 @@ The paper observes that GPU utilization — and with it the CPU/GPU speedup —
 grows with problem dimensionality ("The three-dimensional cases showed
 better speedup measurements compared with the two-dimensional cases due to
 better GPU utilization"). These sweeps generalise that observation into
-curves: speedup and achieved bandwidth versus grid size, and versus the
-snapshot period (the transfer-intensity knob of the RTM pipeline).
+curves: speedup and achieved bandwidth versus grid size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.acc.compiler import PGI_14_6, CompilerPersona
 from repro.core.config import GPUOptions
 from repro.core.modeling import estimate_modeling
 from repro.core.platform import CRAY_K40, Platform
 from repro.core.reference import cpu_modeling_time
-from repro.core.rtm import estimate_rtm
 from repro.gpusim.kernelmodel import LaunchConfig, estimate_kernel_time
 from repro.propagators.workloads import workloads_for
 from repro.utils.errors import ConfigurationError
@@ -68,29 +64,6 @@ def grid_size_sweep(
     if not points:
         raise ConfigurationError("no sweep point fit the device")
     return points
-
-
-def snapshot_period_sweep(
-    physics: str = "acoustic",
-    shape: tuple[int, ...] = (1024, 1024),
-    periods: tuple[int, ...] = (2, 5, 10, 25, 50),
-    nt: int = 300,
-    platform: Platform = CRAY_K40,
-    persona: CompilerPersona = PGI_14_6,
-) -> dict[int, float]:
-    """RTM GPU total time versus snap_period — the PCIe-traffic knob
-    (smaller period = more full-field snapshots over the bus)."""
-    out = {}
-    for period in periods:
-        t = estimate_rtm(
-            physics, shape, nt, period, platform=platform,
-            options=GPUOptions(compiler=persona),
-        )
-        if t.success:
-            out[period] = t.total
-    if not out:
-        raise ConfigurationError("no sweep point succeeded")
-    return out
 
 
 def achieved_bandwidth_sweep(

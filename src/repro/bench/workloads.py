@@ -71,10 +71,6 @@ def modeling_case(physics: str, ndim: int) -> CaseSpec:
         ) from None
 
 
-def case_name(physics: str, ndim: int) -> str:
-    return modeling_case(physics, ndim).name
-
-
 #: short physics spelling of each seed case (``iso2d``, ``ac3d``, ...)
 _SHORT = {"isotropic": "iso", "acoustic": "ac", "elastic": "el"}
 
@@ -102,6 +98,12 @@ RECORD_SHAPES = {2: (96, 96), 3: (48, 48, 48)}
 #: ``--mode both`` order; the values of :data:`repro.core.schedule.MODES`
 #: (not imported: this module must not pull in :mod:`repro.core`)
 MODES = ("modeling", "rtm")
+
+
+def check_mode(mode: str) -> None:
+    """Refuse a mode that is not one of :data:`MODES`."""
+    if mode not in MODES:
+        raise ConfigurationError(f"mode must be 'modeling' or 'rtm', not '{mode}'")
 
 
 def space_order(ndim: int) -> int:

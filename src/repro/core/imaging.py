@@ -65,11 +65,3 @@ def mute_shallow(image: np.ndarray, depth_cells: int) -> np.ndarray:
     out = image.copy()
     out[:depth_cells] = 0.0
     return out
-
-
-def laplacian_filter(image: np.ndarray, spacing: tuple[float, ...]) -> np.ndarray:
-    """Second-order Laplacian filter of the image — the classic RTM
-    low-frequency-artifact suppressor (sharpens reflectors)."""
-    from repro.stencil.operators import laplacian
-
-    return laplacian(np.ascontiguousarray(image, dtype=np.float32), spacing, order=2)

@@ -108,15 +108,6 @@ def device_resident_bytes(
     return sum(field_inventory(physics, shape, boundary_width).values())
 
 
-def wavefield_names(physics: str, shape: tuple[int, ...]) -> list[str]:
-    """Names of the time-varying fields (``wf:`` group)."""
-    return [
-        k
-        for k in field_inventory(physics, shape)
-        if k.startswith("wf:")
-    ]
-
-
 def primary_wavefield(physics: str) -> str:
     """The observable field snapshots carry (what update host moves)."""
     return {

@@ -441,20 +441,3 @@ def run_pipeline(
         offload_visitor(pipeline, mode, snapshot_decimate),
         pipeline.gpu_times,
     )
-
-
-def run_pipeline_modeling(
-    pipeline: OffloadPipeline,
-    nt: int,
-    snap_period: int,
-    snapshot_decimate: int = 4,
-) -> GpuTimes:
-    """:func:`run_pipeline` in modeling mode."""
-    return run_pipeline(pipeline, "modeling", nt, snap_period, snapshot_decimate)
-
-
-def run_pipeline_rtm(
-    pipeline: OffloadPipeline, nt: int, snap_period: int
-) -> GpuTimes:
-    """:func:`run_pipeline` in RTM mode."""
-    return run_pipeline(pipeline, "rtm", nt, snap_period)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.utils.units import GB, GFLOP, GiB
+from repro.utils.units import GB, GiB
 
 
 @dataclass(frozen=True)

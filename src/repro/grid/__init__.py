@@ -1,7 +1,7 @@
 """Regular grids, staggered-grid conventions and domain decomposition."""
 
 from repro.grid.grid import Grid
-from repro.grid.staggered import StaggerOffset, staggered_shape, FULL, HALF
+from repro.grid.staggered import StaggerOffset, FULL, HALF
 from repro.grid.decomposition import (
     CartesianDecomposition,
     Subdomain,
@@ -12,7 +12,6 @@ from repro.grid.decomposition import (
 __all__ = [
     "Grid",
     "StaggerOffset",
-    "staggered_shape",
     "FULL",
     "HALF",
     "CartesianDecomposition",

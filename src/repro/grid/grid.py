@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.utils.arrays import DTYPE, pad_tuple
+from repro.utils.arrays import DTYPE
 from repro.utils.errors import ConfigurationError
 
 _AXIS_NAMES = {2: ("z", "x"), 3: ("z", "x", "y")}

@@ -76,18 +76,3 @@ class StaggerOffset:
         raise ValueError(
             f"no half-point derivative along axis {axis} between {self} and {target}"
         )
-
-
-def staggered_shape(base_shape: tuple[int, ...], offset: StaggerOffset) -> tuple[int, ...]:
-    """Array shape used to store a field at ``offset`` on a grid of
-    ``base_shape``.
-
-    With the same-shape storage convention this is simply ``base_shape``;
-    the function exists to make the convention explicit at call sites and to
-    validate dimensionality.
-    """
-    if len(base_shape) != offset.ndim:
-        raise ValueError(
-            f"stagger ndim {offset.ndim} does not match grid ndim {len(base_shape)}"
-        )
-    return tuple(base_shape)

@@ -4,21 +4,14 @@ from repro.model.earth_model import EarthModel
 from repro.model.builders import (
     constant_model,
     layered_model,
-    lens_model,
     fault_model,
-    random_media_model,
     with_thomsen,
 )
-from repro.model.io import save_model, load_model
 
 __all__ = [
     "EarthModel",
     "constant_model",
     "layered_model",
-    "lens_model",
     "fault_model",
-    "random_media_model",
     "with_thomsen",
-    "save_model",
-    "load_model",
 ]

@@ -2,8 +2,8 @@
 
 The paper's models come from TOTAL's production velocity workflows, which we
 cannot have; these builders generate synthetic media exercising the same code
-paths (sharp reflectors for RTM imaging, smooth lenses for kinematics,
-random media for scattering-heavy workloads). Each returns an
+paths (sharp reflectors for RTM imaging, a fault for lateral velocity
+contrasts). Each returns an
 :class:`~repro.model.earth_model.EarthModel` with vp, rho (Gardner relation)
 and optionally vs (constant vp/vs ratio).
 """
@@ -87,33 +87,6 @@ def layered_model(
     return _with_fields(grid, vp, with_density, vs_ratio, "layered")
 
 
-def lens_model(
-    shape: Sequence[int],
-    spacing: float | Sequence[float] = 10.0,
-    background_vp: float = 2000.0,
-    lens_vp: float = 2600.0,
-    radius_fraction: float = 0.2,
-    with_density: bool = True,
-    vs_ratio: float | None = None,
-) -> EarthModel:
-    """A smooth Gaussian high-velocity lens in a homogeneous background —
-    bends rays without sharp reflections (kinematics tests)."""
-    if not 0.0 < radius_fraction <= 0.5:
-        raise ConfigurationError("radius_fraction must be in (0, 0.5]")
-    grid = Grid(shape, spacing)
-    axes = grid.axes()
-    center = [a[len(a) // 2] for a in axes]
-    radius = radius_fraction * min(grid.extent)
-    r2 = np.zeros(grid.shape, dtype=np.float64)
-    for i, a in enumerate(axes):
-        shape_ones = [1] * grid.ndim
-        shape_ones[i] = len(a)
-        r2 = r2 + ((a - center[i]).reshape(shape_ones)) ** 2
-    bump = np.exp(-r2 / (2.0 * radius**2))
-    vp = background_vp + (lens_vp - background_vp) * bump
-    return _with_fields(grid, vp, with_density, vs_ratio, "lens")
-
-
 def fault_model(
     shape: Sequence[int],
     spacing: float | Sequence[float] = 10.0,
@@ -142,46 +115,6 @@ def fault_model(
         )
     vp = np.where(mask, velocities[1], velocities[0]).astype(np.float64)
     return _with_fields(grid, vp, with_density, vs_ratio, "fault")
-
-
-def random_media_model(
-    shape: Sequence[int],
-    spacing: float | Sequence[float] = 10.0,
-    background_vp: float = 2500.0,
-    fluctuation: float = 0.1,
-    correlation_cells: int = 8,
-    seed: int = 0,
-    with_density: bool = True,
-    vs_ratio: float | None = None,
-) -> EarthModel:
-    """Band-limited random velocity fluctuations around a background —
-    a scattering-rich medium approximating geological heterogeneity.
-
-    ``fluctuation`` is the relative RMS perturbation; ``correlation_cells``
-    sets the smoothing length (grid cells) of the Gaussian filter realised by
-    repeated box blurs.
-    """
-    if not 0.0 <= fluctuation < 0.5:
-        raise ConfigurationError("fluctuation must be in [0, 0.5)")
-    if correlation_cells < 1:
-        raise ConfigurationError("correlation_cells must be >= 1")
-    grid = Grid(shape, spacing)
-    rng = np.random.default_rng(seed)
-    noise = rng.standard_normal(grid.shape)
-    # three box blurs approximate a Gaussian of the requested width
-    width = max(1, correlation_cells)
-    kernel = np.ones(width, dtype=np.float64) / width
-    for _ in range(3):
-        for axis in range(grid.ndim):
-            noise = np.apply_along_axis(
-                lambda v: np.convolve(v, kernel, mode="same"), axis, noise
-            )
-    rms = float(np.sqrt(np.mean(noise**2)))
-    if rms > 0:
-        noise = noise / rms
-    vp = background_vp * (1.0 + fluctuation * noise)
-    vp = np.clip(vp, 0.3 * background_vp, 2.5 * background_vp)
-    return _with_fields(grid, vp, with_density, vs_ratio, "random-media")
 
 
 def with_thomsen(

@@ -2,7 +2,7 @@
 CPU-cluster cost model behind the paper's full-socket reference times."""
 
 from repro.mpisim.comm import SimMPI, RankComm, Request, MessageStats
-from repro.mpisim.halo import HaloExchanger, exchange_halos_once
+from repro.mpisim.halo import HaloExchanger
 from repro.mpisim.cluster import (
     CPUSocketSpec,
     ClusterSpec,
@@ -18,7 +18,6 @@ __all__ = [
     "Request",
     "MessageStats",
     "HaloExchanger",
-    "exchange_halos_once",
     "CPUSocketSpec",
     "ClusterSpec",
     "IBM_CLUSTER",

@@ -43,7 +43,9 @@ class HaloExchanger:
     clock:
         Timeline the modelled exchange durations advance; pass the device's
         :class:`~repro.utils.timer.SimClock` to place halo spans on the same
-        time axis as the kernels. A private clock is used when omitted.
+        time axis as the kernels. A ``tracer`` with no clock of its own is
+        bound to it, so ``isend`` instants land there too. A private clock
+        is used when omitted.
     latency / bandwidth:
         Link cost model; defaults to the intra-node (shared-memory MPI)
         figures of :mod:`repro.mpisim.cluster`.
@@ -77,6 +79,8 @@ class HaloExchanger:
         self.latency = latency
         self.bandwidth = bandwidth
         self.sanitizer = sanitizer
+        if tracer is not None and clock is not None:
+            tracer.bind_default_clock(lambda: clock.now)
         if tracer is not None and mpi.tracer is None:
             mpi.tracer = tracer
         if sanitizer is not None:
@@ -195,11 +199,3 @@ class HaloExchanger:
         return sum(
             self.decomp.face_bytes(rank, itemsize) for rank in range(self.decomp.nranks)
         ) * nfields
-
-
-def exchange_halos_once(
-    decomp: CartesianDecomposition, locals_: list[np.ndarray]
-) -> None:
-    """Convenience single-field exchange (builds a throwaway world)."""
-    mpi = SimMPI(decomp.nranks)
-    HaloExchanger(decomp, mpi).exchange([{"f": a} for a in locals_])

@@ -27,7 +27,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from repro.bench.workloads import SEED_CASES, is_all, parse_case, space_order
+from repro.bench.workloads import (
+    SEED_CASES,
+    check_mode,
+    is_all,
+    parse_case,
+    space_order,
+)
 from repro.observe.reduce import TraceReduction, reduce_trace
 from repro.utils.errors import ConfigurationError
 
@@ -186,8 +192,7 @@ def run_scale_point(
 
     if ranks < 1:
         raise ConfigurationError("ranks must be >= 1")
-    if mode not in ("modeling", "rtm"):
-        raise ConfigurationError(f"mode must be 'modeling' or 'rtm', not '{mode}'")
+    check_mode(mode)
     physics, ndim = parse_case(case)
     shape = SCALE_SHAPES[ndim]
     order = space_order(ndim)

@@ -48,8 +48,9 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable
 
 from repro.acc.clauses import CompileFlags, LoopSchedule
-from repro.acc.compiler import COMPILERS, PGI_14_6, CompilerPersona
+from repro.acc.compiler import PGI_14_6, CompilerPersona, compiler_named
 from repro.analyze.framework import Severity
+from repro.bench.workloads import check_mode, modeling_case, parse_case
 from repro.core.config import GPUOptions
 from repro.core.platform import CRAY_K40, Platform
 from repro.gpusim.kernelmodel import estimate_kernel_time
@@ -383,10 +384,7 @@ class TuneRequest:
     pml_variant: str = "restructured"
 
     def __post_init__(self):
-        if self.mode not in ("modeling", "rtm"):
-            raise ConfigurationError(
-                f"mode must be 'modeling' or 'rtm', not '{self.mode}'"
-            )
+        check_mode(self.mode)
         if self.nt < 1:
             raise ConfigurationError("probe nt must be >= 1")
 
@@ -905,8 +903,6 @@ def request_for_case(
     """A :class:`TuneRequest` for a named seed case (``acoustic-2d``,
     ``iso3d`` ... — same grammar as the trace CLI), at the benchmark
     inventory's paper-scale grid shape."""
-    from repro.bench.workloads import modeling_case, parse_case
-
     physics, ndim = parse_case(case)
     spec = modeling_case(physics, ndim)
     base = GPUOptions(compiler=compiler if compiler is not None else PGI_14_6)
@@ -927,13 +923,7 @@ def run_tune_command(args) -> int:
     """``python -m repro tune`` entry point (argparse namespace in)."""
     compiler = None
     if getattr(args, "compiler", None):
-        try:
-            compiler = COMPILERS[args.compiler]
-        except KeyError:
-            known = ", ".join(sorted(COMPILERS))
-            raise ConfigurationError(
-                f"unknown compiler '{args.compiler}' (expected one of: {known})"
-            ) from None
+        compiler = compiler_named(args.compiler)
     request = request_for_case(
         args.case, mode=args.mode, compiler=compiler, nt=args.nt
     )

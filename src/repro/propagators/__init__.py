@@ -15,11 +15,8 @@ convergence behaviour.
 
 from repro.propagators.base import Propagator, PropagatorState
 from repro.propagators.cfl import (
-    courant_number,
     max_stable_dt,
     default_dt,
-    points_per_wavelength,
-    check_dispersion,
 )
 from repro.propagators.isotropic import IsotropicPropagator
 from repro.propagators.acoustic import AcousticPropagator
@@ -31,11 +28,8 @@ from repro.propagators.factory import make_propagator, PHYSICS_NAMES, EXTENDED_P
 __all__ = [
     "Propagator",
     "PropagatorState",
-    "courant_number",
     "max_stable_dt",
     "default_dt",
-    "points_per_wavelength",
-    "check_dispersion",
     "IsotropicPropagator",
     "AcousticPropagator",
     "ElasticPropagator2D",

@@ -37,27 +37,6 @@ def _staggered_symbol_max(order: int) -> float:
     return 2.0 * sum(abs(c) for c in staggered_coefficients(order))
 
 
-def courant_number(
-    scheme: str, ndim: int, order: int = DEFAULT_SPACE_ORDER
-) -> float:
-    """Dimensionless Courant limit ``C`` such that ``dt <= C * h / vmax``
-    for isotropic spacing ``h``.
-
-    ``scheme`` is ``'second_order'`` (leapfrog on the 2nd-order wave
-    equation — isotropic model) or ``'staggered'`` (first-order staggered
-    leapfrog — acoustic/elastic models).
-    """
-    if ndim not in (1, 2, 3):
-        raise ConfigurationError(f"ndim must be 1..3, got {ndim}")
-    if scheme == "second_order":
-        lam = ndim * _second_order_symbol_max(order)
-        return 2.0 / math.sqrt(lam)
-    if scheme == "staggered":
-        s = _staggered_symbol_max(order)
-        return 2.0 / (s * math.sqrt(ndim))
-    raise ConfigurationError(f"unknown scheme '{scheme}'")
-
-
 def max_stable_dt(
     vmax: float,
     spacing: tuple[float, ...],
@@ -92,33 +71,3 @@ def default_dt(
     if not 0 < safety <= 1:
         raise ConfigurationError("safety must be in (0, 1]")
     return safety * max_stable_dt(vmax, spacing, scheme, order)
-
-
-def points_per_wavelength(vmin: float, peak_freq: float, spacing_max: float) -> float:
-    """Grid points per *minimum* wavelength at ~2.5x the Ricker peak
-    frequency (its effective maximum)."""
-    if vmin <= 0 or peak_freq <= 0 or spacing_max <= 0:
-        raise ConfigurationError("vmin, peak_freq, spacing_max must be positive")
-    f_max = 2.5 * peak_freq
-    return vmin / (f_max * spacing_max)
-
-
-def check_dispersion(
-    vmin: float,
-    peak_freq: float,
-    spacing_max: float,
-    min_points: float = 3.0,
-) -> None:
-    """Raise :class:`ConfigurationError` when the grid undersamples the
-    wavelet (numerical dispersion would corrupt the simulation).
-
-    The 8th-order operators stay accurate down to roughly 3 points per
-    minimum wavelength; callers wanting the classic conservative rule can
-    pass ``min_points=4``.
-    """
-    ppw = points_per_wavelength(vmin, peak_freq, spacing_max)
-    if ppw < min_points:
-        raise ConfigurationError(
-            f"grid undersamples the source: {ppw:.2f} points per minimum "
-            f"wavelength < required {min_points} (reduce peak_freq or spacing)"
-        )

@@ -34,11 +34,7 @@ import numpy as np
 from repro.boundary.pml import StandardPML
 from repro.model.earth_model import EarthModel
 from repro.propagators.base import KernelWorkload, Propagator
-from repro.stencil.operators import (
-    laplacian,
-    laplacian_flops_per_point,
-    laplacian_reads_per_point,
-)
+from repro.stencil.operators import laplacian
 from repro.utils.arrays import DTYPE
 from repro.utils.errors import ConfigurationError
 

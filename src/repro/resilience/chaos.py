@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.bench.workloads import (
     SEED_CASES,
+    check_mode,
     expand_modes,
     is_all,
     parse_case,
@@ -35,7 +36,6 @@ from repro.resilience.faults import (
     DEVICE_KINDS,
     MPI_KINDS,
     RANK_DEAD,
-    CATEGORY,
     FaultPlan,
     parse_faults,
 )
@@ -122,8 +122,7 @@ def run_chaos_case(
     """Chaos one executed single-card case; one outcome per fault spec."""
     from repro.core.config import GPUOptions, ModelingConfig, RTMConfig
 
-    if mode not in ("modeling", "rtm"):
-        raise ConfigurationError(f"mode must be 'modeling' or 'rtm', not '{mode}'")
+    check_mode(mode)
     physics, ndim = parse_case(case)
     kw = small_case_config(physics, CHAOS_SHAPES[ndim], nt)
     cfg_cls = RTMConfig if mode == "rtm" else ModelingConfig
@@ -189,8 +188,7 @@ def run_chaos_case_multigpu(
     tracer=None,
 ) -> list[FaultOutcome]:
     """Chaos one decomposed case over ``ranks`` simulated cards."""
-    if mode not in ("modeling", "rtm"):
-        raise ConfigurationError(f"mode must be 'modeling' or 'rtm', not '{mode}'")
+    check_mode(mode)
     if ranks < 2:
         raise ConfigurationError("multi-GPU chaos needs ranks >= 2")
     physics, ndim = parse_case(case)

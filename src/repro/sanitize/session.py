@@ -44,7 +44,8 @@ from repro.sanitize.rankrace import PendingOp, RankClocks
 from repro.sanitize.shadow import (
     UNKNOWN_EXTENT,
     ShadowArray,
-    describe,
+    format_ranges,
+    ghost_requirement,
     subtract_interval,
 )
 
@@ -53,7 +54,6 @@ from repro.sanitize.shadow import (
 PASSES = DYNAMIC_PASSES
 
 _LINE_RE = re.compile(r"line (\d+)")
-_ITEMSIZE = 4  # float32 wavefields throughout the reproduction
 
 
 def _line_of(event: AccEvent | None) -> int | None:
@@ -61,13 +61,6 @@ def _line_of(event: AccEvent | None) -> int | None:
         return None
     m = _LINE_RE.search(event.label)
     return int(m.group(1)) if m else None
-
-
-def _fmt(intervals) -> str:
-    """Range list for messages; unknown-extent tails print as 'full extent'."""
-    if any(hi >= UNKNOWN_EXTENT for _, hi in intervals):
-        return "the full extent"
-    return "bytes " + describe(intervals)
 
 
 class _RankRecorder:
@@ -259,7 +252,7 @@ class SanitizeSession:
                 self._emit(
                     "stale-device-read",
                     rule("stale-device-read").format_alt(
-                        var=name, ranges=_fmt(stale)
+                        var=name, ranges=format_ranges(stale)
                     ),
                     rank=rank, event=e, var=name,
                     fix=self._update_fix(e, name, stale, "device"),
@@ -349,7 +342,7 @@ class SanitizeSession:
         self, rank: int, e: AccEvent, name: str,
         sh: ShadowArray, stale: list,
     ) -> None:
-        required = self._ghost_requirement(e)
+        required = ghost_requirement(e)
         last = self._last_partial.get((rank, name))
         if (
             required
@@ -375,7 +368,7 @@ class SanitizeSession:
                     rule("short-ghost-transfer").format(
                         var=name, moved=moved, halo=e.halo,
                         required=required, kernel=e.kernel,
-                        ranges=_fmt(stale),
+                        ranges=format_ranges(stale),
                     ),
                     rank=rank, event=e, var=name, kernel=e.kernel,
                     fix=ScriptFix(
@@ -388,21 +381,11 @@ class SanitizeSession:
             "stale-device-read",
             rule("stale-device-read").format(
                 consumer=f"kernel '{e.kernel}'", var=name,
-                ranges=_fmt(stale),
+                ranges=format_ranges(stale),
             ),
             rank=rank, event=e, var=name, kernel=e.kernel,
             fix=self._update_fix(e, name, stale, "device"),
         )
-
-    def _ghost_requirement(self, e: AccEvent) -> int | None:
-        """Bytes one ghost face must carry for this stencil compute: the
-        stencil half-width (``halo`` planes) times the plane size."""
-        if not e.halo or len(e.loop_dims) < 2:
-            return None
-        plane = _ITEMSIZE
-        for d in e.loop_dims[1:]:
-            plane *= int(d)
-        return int(e.halo) * plane
 
     # --- host-side consumers -------------------------------------------
     def _on_host_write(self, rank: int, e: AccEvent) -> None:
@@ -448,7 +431,7 @@ class SanitizeSession:
             self._emit(
                 "stale-host-read",
                 rule("stale-host-read").format(
-                    consumer=what, var=name, ranges=_fmt(stale),
+                    consumer=what, var=name, ranges=format_ranges(stale),
                 ),
                 rank=rank, event=e, var=name,
                 fix=self._update_fix(e, name, stale, "self"),

@@ -29,6 +29,9 @@ UNKNOWN_EXTENT = 1 << 62
 
 Interval = tuple[int, int]
 
+#: bytes per element: float32 wavefields throughout the reproduction
+_ITEMSIZE = 4
+
 
 def normalize(intervals: list[Interval]) -> list[Interval]:
     """Sort, drop empties, and coalesce touching/overlapping intervals."""
@@ -82,6 +85,25 @@ def describe(intervals: list[Interval], limit: int = 3) -> str:
     if len(intervals) > limit:
         parts.append(f"... {len(intervals) - limit} more")
     return " + ".join(parts) if parts else "(empty)"
+
+
+def format_ranges(intervals: list[Interval]) -> str:
+    """Range list for findings; unknown-extent tails print as 'the full
+    extent'."""
+    if any(hi >= UNKNOWN_EXTENT for _, hi in intervals):
+        return "the full extent"
+    return "bytes " + describe(intervals)
+
+
+def ghost_requirement(event) -> int | None:
+    """Bytes one ghost face must carry for a stencil compute event: the
+    stencil half-width (``halo`` planes) times the plane size."""
+    if not event.halo or len(event.loop_dims) < 2:
+        return None
+    plane = _ITEMSIZE
+    for d in event.loop_dims[1:]:
+        plane *= int(d)
+    return int(event.halo) * plane
 
 
 @dataclass

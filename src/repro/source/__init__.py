@@ -2,25 +2,13 @@
 
 from repro.source.wavelets import (
     ricker,
-    gaussian,
-    gaussian_derivative,
     integrated_ricker,
 )
 from repro.source.injection import PointSource, inject, extract
 from repro.source.acquisition import Receivers, Shot, line_receivers, grid_receivers
-from repro.source.seismogram import (
-    agc,
-    normalize_traces,
-    mute_direct_arrival,
-    first_breaks,
-    resample,
-    trace_energy,
-)
 
 __all__ = [
     "ricker",
-    "gaussian",
-    "gaussian_derivative",
     "integrated_ricker",
     "PointSource",
     "inject",
@@ -29,10 +17,4 @@ __all__ = [
     "Shot",
     "line_receivers",
     "grid_receivers",
-    "agc",
-    "normalize_traces",
-    "mute_direct_arrival",
-    "first_breaks",
-    "resample",
-    "trace_energy",
 ]

@@ -42,31 +42,6 @@ def ricker(nt: int, dt: float, peak_freq: float, delay: float | None = None) -> 
     return w.astype(DTYPE)
 
 
-def gaussian(nt: int, dt: float, peak_freq: float, delay: float | None = None) -> np.ndarray:
-    """Gaussian pulse with spectral width matched to ``peak_freq``."""
-    if peak_freq <= 0:
-        raise ConfigurationError("peak_freq must be positive")
-    t = _time_axis(nt, dt)
-    t0 = 1.5 / peak_freq if delay is None else float(delay)
-    arg = (np.pi * peak_freq * (t - t0)) ** 2
-    return np.exp(-arg).astype(DTYPE)
-
-
-def gaussian_derivative(nt: int, dt: float, peak_freq: float, delay: float | None = None) -> np.ndarray:
-    """First derivative of a Gaussian — a zero-mean pulse used for velocity
-    sources in the first-order systems."""
-    if peak_freq <= 0:
-        raise ConfigurationError("peak_freq must be positive")
-    t = _time_axis(nt, dt)
-    t0 = 1.5 / peak_freq if delay is None else float(delay)
-    a = (np.pi * peak_freq) ** 2
-    w = -2.0 * a * (t - t0) * np.exp(-a * (t - t0) ** 2)
-    peak = np.max(np.abs(w))
-    if peak > 0:
-        w = w / peak
-    return w.astype(DTYPE)
-
-
 def integrated_ricker(nt: int, dt: float, peak_freq: float, delay: float | None = None) -> np.ndarray:
     """Running time-integral of the Ricker wavelet.
 

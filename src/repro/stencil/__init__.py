@@ -17,7 +17,6 @@ from repro.stencil.dispersion import (
     staggered_first_derivative_symbol,
     phase_velocity_ratio,
     points_per_wavelength_for_accuracy,
-    dispersion_table,
 )
 from repro.stencil.operators import (
     second_derivative,
@@ -38,7 +37,6 @@ __all__ = [
     "staggered_first_derivative_symbol",
     "phase_velocity_ratio",
     "points_per_wavelength_for_accuracy",
-    "dispersion_table",
     "second_derivative",
     "laplacian",
     "staggered_diff_forward",

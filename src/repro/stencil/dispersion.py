@@ -103,22 +103,3 @@ def points_per_wavelength_for_accuracy(
         else:
             hi = mid
     return 2.0 * math.pi / lo
-
-
-def dispersion_table(
-    scheme: str,
-    orders: tuple[int, ...] = (2, 4, 8),
-    ppw: tuple[float, ...] = (4.0, 6.0, 10.0),
-    courant: float = 0.4,
-) -> dict[int, dict[float, float]]:
-    """Phase-velocity error per (order, points-per-wavelength)."""
-    out: dict[int, dict[float, float]] = {}
-    for order in orders:
-        row = {}
-        for p in ppw:
-            kh = np.array([2.0 * math.pi / p])
-            row[p] = abs(
-                float(phase_velocity_ratio(kh, scheme, order, courant)[0]) - 1.0
-            )
-        out[order] = row
-    return out

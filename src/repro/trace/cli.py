@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from repro.bench.workloads import (
     RECORD_SHAPES,
+    check_mode,
     parse_case,
     small_case_config,
     space_order,
@@ -43,8 +44,7 @@ def trace_case(
     from repro.core.rtm import run_rtm
 
     physics, ndim = parse_case(case)
-    if mode not in ("modeling", "rtm"):
-        raise ConfigurationError(f"mode must be 'modeling' or 'rtm', not '{mode}'")
+    check_mode(mode)
     if nt < 1:
         raise ConfigurationError("nt must be >= 1")
     if ranks < 1:

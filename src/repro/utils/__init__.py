@@ -26,8 +26,6 @@ from repro.utils.arrays import (
     interior_slices,
     shifted_slices,
     pad_tuple,
-    l2_norm,
-    relative_l2_error,
 )
 
 __all__ = [
@@ -53,6 +51,4 @@ __all__ = [
     "interior_slices",
     "shifted_slices",
     "pad_tuple",
-    "l2_norm",
-    "relative_l2_error",
 ]

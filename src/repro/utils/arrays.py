@@ -65,16 +65,3 @@ def pad_tuple(value: int | Sequence[int], ndim: int, name: str = "value") -> tup
     if len(t) != ndim:
         raise ValueError(f"{name} must have length {ndim}, got {len(t)}")
     return t
-
-
-def l2_norm(a: np.ndarray) -> float:
-    """Root-sum-square of an array in float64 accumulation."""
-    return float(np.sqrt(np.sum(np.asarray(a, dtype=np.float64) ** 2)))
-
-
-def relative_l2_error(a: np.ndarray, b: np.ndarray) -> float:
-    """``||a - b|| / ||b||`` with a guard for an all-zero reference."""
-    ref = l2_norm(b)
-    if ref == 0.0:
-        return l2_norm(a)
-    return l2_norm(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)) / ref

@@ -10,7 +10,6 @@ from repro.acc import (
     IneffectiveDirectiveWarning,
     LoopSchedule,
     Runtime,
-    explain_lowering,
     minfo,
 )
 from repro.gpusim import Device, K40
@@ -57,10 +56,14 @@ class TestMinfo:
         assert any("heuristically" in m for m in msgs)
 
     def test_explain_lowering_uses_preferred(self):
-        text = explain_lowering(PGI_14_6, flow_kernel())
-        assert "Loop is parallelizable" in text
-        text_c = explain_lowering(CRAY_8_2_6, flow_kernel())
-        assert "gang, worker" in text_c
+        def preferred(persona):
+            return "\n".join(minfo(
+                persona, persona.preferred_construct(), flow_kernel(),
+                persona.preferred_schedule(),
+            ))
+
+        assert "Loop is parallelizable" in preferred(PGI_14_6)
+        assert "gang, worker" in preferred(CRAY_8_2_6)
 
 
 class TestInertDirectives:

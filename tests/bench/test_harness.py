@@ -7,7 +7,6 @@ from repro.bench import (
     ALL_CASES,
     Cell,
     Row,
-    case_name,
     format_speedup_table,
     modeling_case,
     paper_data,
@@ -28,7 +27,7 @@ class TestCases:
     def test_case_lookup(self):
         c = modeling_case("acoustic", 3)
         assert c.shape == (512, 512, 512)
-        assert case_name("elastic", 2) == "ELASTIC 2D"
+        assert modeling_case("elastic", 2).name == "ELASTIC 2D"
 
     def test_unknown_case(self):
         with pytest.raises(ConfigurationError):

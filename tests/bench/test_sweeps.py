@@ -5,8 +5,8 @@ import pytest
 from repro.bench import (
     achieved_bandwidth_sweep,
     grid_size_sweep,
-    snapshot_period_sweep,
 )
+from repro.core import estimate_rtm
 from repro.utils.errors import ConfigurationError
 
 
@@ -45,7 +45,10 @@ class TestBandwidthSweep:
 
 class TestSnapshotPeriodSweep:
     def test_more_snapshots_cost_more(self):
-        res = snapshot_period_sweep(shape=(512, 512), periods=(2, 10, 50), nt=100)
+        res = {
+            period: estimate_rtm("acoustic", (512, 512), 100, period).total
+            for period in (2, 10, 50)
+        }
         assert res[2] > res[10] > res[50]
 
 

@@ -1,50 +1,18 @@
-"""Absorber behaviour: Cerjan sponge, standard PML, and C-PML.
+"""Absorber behaviour: standard PML and C-PML.
 
 The load-bearing checks run a real propagation against each absorber and
-measure residual energy after the wavefront crosses the layer, including the
-comparison the package promises: C-PML absorbs better than the sponge, and
-the standard PML leaves the most residual (the weakness the paper cites).
+measure residual energy after the wavefront crosses the layer.
 """
 
 import numpy as np
 import pytest
 
-from repro.boundary import CPML, CerjanSponge, StandardPML
+from repro.boundary import CPML, StandardPML
 from repro.grid import Grid
 from repro.model import constant_model
 from repro.propagators import AcousticPropagator, IsotropicPropagator
 from repro.source import PointSource, integrated_ricker, ricker
 from repro.utils.errors import ConfigurationError
-
-
-class TestCerjanSponge:
-    def test_taper_one_in_interior(self):
-        g = Grid((64, 64))
-        s = CerjanSponge(g, width=8)
-        assert np.all(s.taper[8:-8, 8:-8] == 1.0)
-
-    def test_taper_below_one_at_edges(self):
-        g = Grid((64, 64))
-        s = CerjanSponge(g, width=8)
-        assert float(s.taper[0, 0]) < 1.0
-
-    def test_apply_in_place(self):
-        g = Grid((32, 32))
-        s = CerjanSponge(g, width=4)
-        f = np.ones(g.shape, dtype=np.float32)
-        s.apply(f)
-        assert float(f[0, 0]) < 1.0
-        assert float(f[16, 16]) == 1.0
-
-    def test_shape_mismatch_rejected(self):
-        g = Grid((32, 32))
-        s = CerjanSponge(g, width=4)
-        with pytest.raises(ConfigurationError):
-            s.apply(np.ones((8, 8), dtype=np.float32))
-
-    def test_width_too_large_rejected(self):
-        with pytest.raises(ConfigurationError):
-            CerjanSponge(Grid((16, 16)), width=8)
 
 
 class TestStandardPML:

@@ -6,11 +6,7 @@ from repro.compile import runner
 from repro.core.config import GPUOptions
 from repro.core.modeling import _build_runtime
 from repro.core.multigpu import MultiGpuPipeline
-from repro.core.pipeline import (
-    OffloadPipeline,
-    run_pipeline_modeling,
-    run_pipeline_rtm,
-)
+from repro.core.pipeline import OffloadPipeline, run_pipeline
 from repro.core.platform import CRAY_K40
 
 
@@ -32,20 +28,20 @@ def pipeline(compiled=False, physics="isotropic", **opts):
 
 class TestSinglePipeline:
     def test_rtm_compiled_launches_fewer_kernels(self):
-        interp = run_pipeline_rtm(pipeline(False), 8, 4)
-        compiled = run_pipeline_rtm(pipeline(True), 8, 4)
+        interp = run_pipeline(pipeline(False), "rtm", 8, 4)
+        compiled = run_pipeline(pipeline(True), "rtm", 8, 4)
         assert interp.success and compiled.success
         assert compiled.launches < interp.launches
         assert compiled.total <= interp.total
 
     def test_modeling_compiled(self):
-        interp = run_pipeline_modeling(pipeline(False), 8, 4)
-        compiled = run_pipeline_modeling(pipeline(True), 8, 4)
+        interp = run_pipeline(pipeline(False), "modeling", 8, 4, snapshot_decimate=4)
+        compiled = run_pipeline(pipeline(True), "modeling", 8, 4, snapshot_decimate=4)
         assert compiled.success and compiled.launches < interp.launches
 
     def test_pipeline_bookkeeping_reset_after_compiled_run(self):
         p = pipeline(True)
-        run_pipeline_rtm(p, 8, 4)
+        run_pipeline(p, "rtm", 8, 4)
         assert p.phase == "idle"
         assert p.rt.present_names() == ()
 
@@ -58,7 +54,7 @@ class TestSinglePipeline:
             rt, "elastic", (24, 24, 24), nreceivers=16, space_order=4,
             boundary_width=8, options=options, pml_variant="restructured",
         )
-        times = run_pipeline_rtm(p, 4, 4)
+        times = run_pipeline(p, "rtm", 4, 4)
         assert not times.success and times.failure == "compiler"
 
 

@@ -5,7 +5,6 @@ from repro.core.inventory import (
     device_resident_bytes,
     field_inventory,
     primary_wavefield,
-    wavefield_names,
 )
 from repro.model import constant_model
 from repro.propagators import make_propagator
@@ -58,10 +57,6 @@ class TestWavefieldConsistency:
         assert primary_wavefield("isotropic") == "wf:u"
         assert primary_wavefield("acoustic") == "wf:p"
         assert primary_wavefield("elastic") == "wf:szz"
-
-    def test_wavefield_names_prefixed(self):
-        for n in wavefield_names("elastic", (32, 32)):
-            assert n.startswith("wf:")
 
 
 class TestCapacityGates:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.acc import CRAY_8_2_6, PGI_14_3, PGI_14_6, CompileFlags, Runtime
 from repro.core import GPUOptions, OffloadPipeline
-from repro.core.pipeline import run_pipeline_modeling, run_pipeline_rtm
+from repro.core.pipeline import run_pipeline
 from repro.gpusim import Device, K40, M2090
 from repro.utils.errors import ConfigurationError
 
@@ -150,7 +150,7 @@ class TestBackwardKernelChoice:
 class TestEstimateRunners:
     def test_modeling_run_times(self):
         p = make_pipeline()
-        t = run_pipeline_modeling(p, nt=20, snap_period=5)
+        t = run_pipeline(p, "modeling", 20, 5, snapshot_decimate=4)
         assert t.success
         assert t.total > 0
         assert t.kernel > 0
@@ -158,20 +158,20 @@ class TestEstimateRunners:
 
     def test_rtm_run_times(self):
         p = make_pipeline()
-        t = run_pipeline_rtm(p, nt=20, snap_period=5)
+        t = run_pipeline(p, "rtm", 20, 5)
         assert t.success
         assert t.h2d > 0 and t.d2h > 0
 
     def test_oom_reported_not_raised(self):
         p = make_pipeline(physics="elastic", shape=(448, 448, 448), spec=M2090)
-        t = run_pipeline_modeling(p, nt=1, snap_period=1)
+        t = run_pipeline(p, "modeling", 1, 1, snapshot_decimate=4)
         assert not t.success
         assert t.failure == "oom"
 
     def test_cray_elastic3d_rtm_compiler_failure(self):
         """Table 4's CRAY-compiler 'x' cell."""
         p = make_pipeline(physics="elastic", shape=(64, 64, 64), persona=CRAY_8_2_6)
-        t = run_pipeline_rtm(p, nt=1, snap_period=1)
+        t = run_pipeline(p, "rtm", 1, 1)
         assert not t.success
         assert t.failure == "compiler"
 
@@ -179,7 +179,7 @@ class TestEstimateRunners:
         """Figure 14 vs 15: host imaging pulls both wavefields per snap."""
         def d2h(image_on_gpu):
             p = make_pipeline(image_on_gpu=image_on_gpu)
-            t = run_pipeline_rtm(p, nt=20, snap_period=5)
+            t = run_pipeline(p, "rtm", 20, 5)
             return t.d2h
 
         assert d2h(False) > d2h(True)

@@ -5,7 +5,6 @@ from repro.core import SnapshotStore, default_snap_period
 from repro.core.imaging import (
     cross_correlation_update,
     illumination_update,
-    laplacian_filter,
     mute_shallow,
     normalize_image,
 )
@@ -128,8 +127,3 @@ class TestImagePostprocessing:
     def test_mute_invalid(self):
         with pytest.raises(ConfigurationError):
             mute_shallow(np.ones((4, 4), dtype=np.float32), -1)
-
-    def test_laplacian_filter_zeroes_constant(self):
-        img = np.full((20, 20), 5.0, dtype=np.float32)
-        out = laplacian_filter(img, (10.0, 10.0))
-        np.testing.assert_allclose(out[2:-2, 2:-2], 0.0, atol=1e-5)

@@ -1,6 +1,6 @@
 import pytest
 
-from repro.grid.staggered import FULL, HALF, StaggerOffset, staggered_shape
+from repro.grid.staggered import FULL, HALF, StaggerOffset
 
 
 class TestStaggerOffset:
@@ -57,11 +57,3 @@ class TestDerivativeFlavour:
         assert vx.derivative_flavour(0, sxz) == "forward"
         assert vz.derivative_flavour(1, sxz) == "forward"
 
-
-class TestStaggeredShape:
-    def test_same_shape_convention(self):
-        assert staggered_shape((8, 9), StaggerOffset.half_along(2, 0)) == (8, 9)
-
-    def test_ndim_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            staggered_shape((8, 9, 10), StaggerOffset.centered(2))

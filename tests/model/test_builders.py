@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.model import (
-    constant_model,
-    fault_model,
-    layered_model,
-    lens_model,
-    random_media_model,
-)
+from repro.model import constant_model, fault_model, layered_model
 from repro.utils.errors import ConfigurationError
 
 
@@ -77,25 +71,6 @@ class TestLayeredModel:
         assert np.all(m.vp[0] == np.float32(1500.0))
 
 
-class TestLensModel:
-    def test_peak_at_center(self):
-        m = lens_model((41, 41), background_vp=2000.0, lens_vp=2600.0)
-        assert float(m.vp[20, 20]) == pytest.approx(2600.0, rel=1e-3)
-
-    def test_background_at_edges(self):
-        m = lens_model((41, 41), background_vp=2000.0, lens_vp=2600.0, radius_fraction=0.1)
-        assert float(m.vp[0, 0]) == pytest.approx(2000.0, rel=1e-3)
-
-    def test_smooth(self):
-        m = lens_model((41, 41))
-        grad = np.abs(np.diff(m.vp, axis=0)).max()
-        assert grad < 100.0  # no jumps
-
-    def test_bad_radius(self):
-        with pytest.raises(ConfigurationError):
-            lens_model((20, 20), radius_fraction=0.9)
-
-
 class TestFaultModel:
     def test_throw_offsets_interface(self):
         m = fault_model(
@@ -112,27 +87,3 @@ class TestFaultModel:
         m = fault_model((30, 30, 10), interface_depth=100.0, throw=50.0)
         assert m.ndim == 3
 
-
-class TestRandomMedia:
-    def test_reproducible(self):
-        a = random_media_model((32, 32), seed=42)
-        b = random_media_model((32, 32), seed=42)
-        np.testing.assert_array_equal(a.vp, b.vp)
-
-    def test_different_seeds_differ(self):
-        a = random_media_model((32, 32), seed=1)
-        b = random_media_model((32, 32), seed=2)
-        assert not np.array_equal(a.vp, b.vp)
-
-    def test_fluctuation_scale(self):
-        m = random_media_model((64, 64), background_vp=2500.0, fluctuation=0.05)
-        rel = np.std(m.vp.astype(np.float64)) / 2500.0
-        assert 0.01 < rel < 0.10
-
-    def test_zero_fluctuation_constant(self):
-        m = random_media_model((32, 32), background_vp=2000.0, fluctuation=0.0)
-        np.testing.assert_allclose(m.vp, 2000.0, rtol=1e-5)
-
-    def test_bad_fluctuation(self):
-        with pytest.raises(ConfigurationError):
-            random_media_model((16, 16), fluctuation=0.9)

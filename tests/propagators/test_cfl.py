@@ -2,48 +2,48 @@ import math
 
 import pytest
 
-from repro.propagators import (
-    check_dispersion,
-    courant_number,
-    default_dt,
-    max_stable_dt,
-    points_per_wavelength,
-)
+from repro.propagators import default_dt, max_stable_dt
+from repro.stencil import DEFAULT_SPACE_ORDER
 from repro.utils.errors import ConfigurationError
+
+
+def courant(scheme, ndim, order=DEFAULT_SPACE_ORDER):
+    """Dimensionless Courant limit: the stable dt at unit spacing and speed."""
+    return max_stable_dt(1.0, (1.0,) * ndim, scheme, order)
 
 
 class TestCourantNumber:
     def test_second_order_2nd_scheme_classic(self):
         """For 2nd-order coefficients the leapfrog limit is the textbook
         1/sqrt(d): symbol max is 4/h^2 per axis."""
-        assert courant_number("second_order", 1, order=2) == pytest.approx(1.0)
-        assert courant_number("second_order", 2, order=2) == pytest.approx(1 / math.sqrt(2))
+        assert courant("second_order", 1, order=2) == pytest.approx(1.0)
+        assert courant("second_order", 2, order=2) == pytest.approx(1 / math.sqrt(2))
 
     def test_staggered_2nd_scheme_classic(self):
-        assert courant_number("staggered", 1, order=2) == pytest.approx(1.0)
-        assert courant_number("staggered", 2, order=2) == pytest.approx(1 / math.sqrt(2))
+        assert courant("staggered", 1, order=2) == pytest.approx(1.0)
+        assert courant("staggered", 2, order=2) == pytest.approx(1 / math.sqrt(2))
 
     def test_higher_order_is_stricter(self):
         for scheme in ("second_order", "staggered"):
-            assert courant_number(scheme, 2, 8) < courant_number(scheme, 2, 2)
+            assert courant(scheme, 2, 8) < courant(scheme, 2, 2)
 
     def test_more_dimensions_stricter(self):
-        assert courant_number("staggered", 3) < courant_number("staggered", 2)
+        assert courant("staggered", 3) < courant("staggered", 2)
 
     def test_order8_values_plausible(self):
-        assert 0.4 < courant_number("second_order", 2, 8) < 0.7
-        assert 0.35 < courant_number("staggered", 3, 8) < 0.55
+        assert 0.4 < courant("second_order", 2, 8) < 0.7
+        assert 0.35 < courant("staggered", 3, 8) < 0.55
 
     def test_unknown_scheme(self):
         with pytest.raises(ConfigurationError):
-            courant_number("magic", 2)
+            courant("magic", 2)
 
 
 class TestMaxStableDt:
     def test_isotropic_spacing_matches_courant(self):
         h, v = 10.0, 2500.0
         dt = max_stable_dt(v, (h, h), "second_order")
-        assert dt == pytest.approx(courant_number("second_order", 2) * h / v)
+        assert dt == pytest.approx(courant("second_order", 2) * h / v)
 
     def test_anisotropic_spacing_dominated_by_fine_axis(self):
         dt_fine = max_stable_dt(2000.0, (5.0, 5.0), "staggered")
@@ -72,15 +72,3 @@ class TestDefaultDt:
         with pytest.raises(ConfigurationError):
             default_dt(2000.0, (10.0,), "staggered", safety=1.5)
 
-
-class TestDispersion:
-    def test_points_per_wavelength(self):
-        # vmin=1500, f_peak=10 -> f_max=25 -> lambda_min=60 m; h=10 -> 6 ppw
-        assert points_per_wavelength(1500.0, 10.0, 10.0) == pytest.approx(6.0)
-
-    def test_check_passes_for_fine_grid(self):
-        check_dispersion(1500.0, 10.0, 10.0)
-
-    def test_check_rejects_coarse_grid(self):
-        with pytest.raises(ConfigurationError):
-            check_dispersion(1500.0, 30.0, 50.0)

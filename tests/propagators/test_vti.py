@@ -136,12 +136,3 @@ class TestModelSupport:
     def test_max_wave_speed_stretched(self):
         m = with_thomsen(constant_model((32, 32), vp=2000.0), 0.5, 0.1)
         assert m.max_wave_speed() == pytest.approx(2000.0 * np.sqrt(2.0), rel=1e-6)
-
-    def test_io_roundtrip_with_thomsen(self, tmp_path):
-        from repro.model import load_model, save_model
-
-        m = with_thomsen(constant_model((16, 16)), 0.2, 0.1)
-        save_model(m, tmp_path / "vti.npz")
-        m2 = load_model(tmp_path / "vti.npz")
-        np.testing.assert_array_equal(m2.epsilon, m.epsilon)
-        np.testing.assert_array_equal(m2.delta, m.delta)

@@ -5,11 +5,15 @@ fault knob into the executed per-rank multi-GPU path and pins the single
 diagnostic code the sanitizer must report for it; the script tests seed
 the same hazards in hand-written ``!$acc`` scripts (including the
 out-of-bounds transfer, which the live present table refuses to execute).
+The live runs are also re-read by the static interpreter, which must prove
+no rule on a rank that the sanitizer did not report there.
 """
 
 import pytest
 
+from repro.analyze.dataflow.absint import interpret_program
 from repro.analyze.framework import Severity
+from repro.analyze.rules import rule
 from repro.core.multigpu import ExchangeProtocol
 from repro.sanitize import PASSES, sanitize_pipeline, sanitize_script
 
@@ -62,6 +66,55 @@ class TestLiveFaultSeeded:
     def test_modeling_mode_also_detects(self):
         r = run(ExchangeProtocol(update_ghost_device=False), mode="modeling")
         assert codes(r) == ["stale-device-read"]
+
+
+#: the live fault knobs above -> (``run`` keywords, the rule the static
+#: interpreter proves on the recordings, or None when it proves none)
+LIVE_FAULTS = {
+    "clean": ({}, None),
+    "no ghost update device": (
+        {"protocol": ExchangeProtocol(update_ghost_device=False)},
+        "stale-device-read",
+    ),
+    "no update host before send": (
+        {"protocol": ExchangeProtocol(update_host_before_send=False)},
+        "stale-host-read",
+    ),
+    "async update without wait": (
+        {"protocol": ExchangeProtocol(async_updates=True, sync_before_send=False)},
+        "halo-send-before-sync",
+    ),
+    "async update with wait": (
+        {"protocol": ExchangeProtocol(async_updates=True, sync_before_send=True)},
+        None,
+    ),
+    # the short ghost is found by comparing the decomposition's halo with
+    # the stencil radius, which only the sanitizer is told
+    "halo_width=2": ({"halo_width": 2}, None),
+}
+
+
+class TestStaticWithinDynamic:
+    """The converse of the static/dynamic agreement on the scripts: on
+    every live recording, each rule ``interpret_program`` proves is one
+    the sanitizer reported for the same rank."""
+
+    @pytest.mark.parametrize("mode", ["modeling", "rtm"])
+    @pytest.mark.parametrize("ranks", [2, 4])
+    @pytest.mark.parametrize("fault", sorted(LIVE_FAULTS))
+    def test_static_rules_are_dynamic_rules(self, fault, ranks, mode):
+        kwargs, expected = LIVE_FAULTS[fault]
+        r = run(ranks=ranks, mode=mode, **kwargs)
+        proved = set()
+        for rank, program in enumerate(r.programs):
+            dynamic = {
+                rule(d.rule).static_rule for d in r.diagnostics
+                if d.message.startswith(f"[rank {rank}] ")
+            }
+            static = {d.rule for d in interpret_program(program).diagnostics}
+            assert static <= dynamic, (rank, static, dynamic)
+            proved |= static
+        assert proved == ({rule(expected).static_rule} if expected else set())
 
 
 class TestScriptSeeded:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.source import gaussian, gaussian_derivative, integrated_ricker, ricker
+from repro.source import integrated_ricker, ricker
 from repro.utils.errors import ConfigurationError
 
 
@@ -51,24 +51,6 @@ class TestRicker:
             ricker(10, -0.001, 10.0)
         with pytest.raises(ConfigurationError):
             ricker(10, 0.001, 0.0)
-
-
-class TestGaussian:
-    def test_positive_pulse(self):
-        w = gaussian(200, 0.001, 20.0)
-        assert float(w.min()) >= 0.0
-        assert float(w.max()) == pytest.approx(1.0, abs=1e-6)
-
-    def test_derivative_zero_mean(self):
-        w = gaussian_derivative(1000, 0.001, 20.0)
-        assert abs(float(np.sum(w))) < 1e-2 * np.sum(np.abs(w))
-
-    def test_derivative_antisymmetric_about_peak(self):
-        dt, f = 0.001, 20.0
-        w = gaussian_derivative(400, dt, f)
-        i0 = int(round(1.5 / f / dt))
-        k = 40
-        np.testing.assert_allclose(w[i0 - k : i0], -w[i0 + k : i0 : -1], atol=5e-3)
 
 
 class TestIntegratedRicker:

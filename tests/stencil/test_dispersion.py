@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.stencil import (
-    dispersion_table,
     phase_velocity_ratio,
     points_per_wavelength_for_accuracy,
     second_derivative_symbol,
@@ -100,9 +99,3 @@ class TestDesignHelpers:
         }
         assert ppw[2] > ppw[4] > ppw[8]
         assert ppw[8] < 6.0  # the wide operators' selling point
-
-    def test_dispersion_table_structure(self):
-        t = dispersion_table("staggered", orders=(2, 8), ppw=(4.0, 10.0), courant=0.1)
-        assert set(t) == {2, 8}
-        assert set(t[2]) == {4.0, 10.0}
-        assert t[2][4.0] > t[2][10.0]

@@ -3,7 +3,9 @@
 Each command runs in-process through :func:`repro.__main__.main`; its
 stdout (with the ``trace --out`` path masked) must hash to the pinned
 sha256. A change to a label, a SARIF tool name, a target order or a
-number shows up here as a changed digest.
+number shows up here as a changed digest. The multi-rank trace also pins
+its ``trace.json``: every timestamp in it is simulated, so two runs must
+write the same bytes.
 """
 
 import hashlib
@@ -41,6 +43,17 @@ GOLDENS = {
         ["trace", "iso2d", "--nt", "8", "--out", "{out}", "--no-ledger"],
         "0848776547a2bb0845b6e8d37b703821c74963f2039f8765bdf270ff47b84b94",
     ),
+    "trace iso2d --ranks 2 --nt 8": (
+        ["trace", "iso2d", "--ranks", "2", "--nt", "8", "--out", "{out}",
+         "--no-ledger"],
+        "c7a29a6001dbbee239efb5af26824cfc2ea356eb4b6a6d602de292275e525421",
+    ),
+}
+
+#: sha256 of the ``--out`` file, for the commands whose trace is pinned
+TRACE_FILES = {
+    "trace iso2d --ranks 2 --nt 8":
+        "669c11810e83e70c4e630ba89dba87a92c225e6e89f6b470fe8992e5f011bb15",
 }
 
 
@@ -51,3 +64,6 @@ def test_stdout_digest(name, tmp_path, capsys):
     assert main([a.format(out=out_path) for a in argv]) == 0
     out = capsys.readouterr().out.replace(out_path, "<out>")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if name in TRACE_FILES:
+        with open(out_path, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == TRACE_FILES[name]

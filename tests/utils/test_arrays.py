@@ -6,9 +6,7 @@ from repro.utils.arrays import (
     DTYPE,
     as_f32,
     interior_slices,
-    l2_norm,
     pad_tuple,
-    relative_l2_error,
     shifted_slices,
 )
 
@@ -73,23 +71,3 @@ class TestPadTuple:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             pad_tuple([1, 2, 3], 2)
-
-
-class TestNorms:
-    def test_l2_norm(self):
-        assert l2_norm(np.array([3.0, 4.0])) == pytest.approx(5.0)
-
-    def test_relative_error_zero_for_identical(self):
-        a = np.arange(5.0)
-        assert relative_l2_error(a, a) == 0.0
-
-    def test_relative_error_guard_for_zero_reference(self):
-        assert relative_l2_error(np.ones(3), np.zeros(3)) == pytest.approx(np.sqrt(3))
-
-    @given(st.floats(min_value=0.01, max_value=100.0))
-    def test_scale_invariance(self, scale):
-        a = np.array([1.0, 2.0, 3.0])
-        b = np.array([1.1, 2.1, 2.9])
-        assert relative_l2_error(scale * a, scale * b) == pytest.approx(
-            relative_l2_error(a, b), rel=1e-6
-        )
