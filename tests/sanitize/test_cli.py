@@ -1,27 +1,14 @@
 """``python -m repro sanitize`` — CLI targets, formats and --fix."""
 
 import json
-import textwrap
 
 import pytest
 
 from repro.__main__ import main
+from tests.sanitize.seeded import SCRIPTS
 
-DIRTY = textwrap.dedent("""
-    !$lint extent(u=36864)
-    !$acc enter data copyin(u)
-    !$lint host_writes(u) bytes=768 offset=0
-    !$lint name=fwd dims=96x96 reads=u writes=u
-    !$acc parallel loop gang vector
-    !$acc exit data delete(u)
-""").strip() + "\n"
-
-CLEAN = textwrap.dedent("""
-    !$acc enter data copyin(u)
-    !$lint name=fwd dims=96x96 reads=u writes=u
-    !$acc parallel loop gang vector
-    !$acc exit data delete(u)
-""").strip() + "\n"
+DIRTY = SCRIPTS["stale-device-read"]
+CLEAN = SCRIPTS["sizeless-clean"]
 
 
 @pytest.fixture

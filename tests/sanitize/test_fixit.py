@@ -1,12 +1,10 @@
 """Fixit round trips: seeded script -> apply_fixes -> re-sanitize clean."""
 
-import textwrap
-
 from repro.sanitize import apply_fixes, collect_fixes, sanitize_script
+from tests.sanitize.seeded import SCRIPTS
 
 
 def roundtrip(text):
-    text = textwrap.dedent(text).strip() + "\n"
     before = sanitize_script(text)
     assert not before.clean(), "seed script must start dirty"
     fixed, applied = apply_fixes(text, before.diagnostics)
@@ -18,41 +16,17 @@ def roundtrip(text):
 
 class TestRoundTrips:
     def test_insert_update_device(self):
-        fixed = roundtrip("""
-            !$lint extent(u=36864)
-            !$acc enter data copyin(u)
-            !$lint host_writes(u) bytes=768 offset=0
-            !$lint name=fwd dims=96x96 reads=u writes=u
-            !$acc parallel loop gang vector
-            !$acc exit data delete(u)
-        """)
+        fixed = roundtrip(SCRIPTS["stale-device-read"])
         assert "update device(u)" in fixed
         assert "bytes=768" in fixed  # minimal byte extent, not full array
 
     def test_insert_update_self(self):
-        fixed = roundtrip("""
-            !$lint extent(u=36864)
-            !$acc enter data copyin(u)
-            !$lint name=fwd dims=96x96 reads=u writes=u
-            !$acc parallel loop gang vector
-            !$acc wait
-            !$lint send(u) to=1 bytes=384 offset=384
-            !$acc exit data delete(u)
-        """)
+        fixed = roundtrip(SCRIPTS["stale-host-read"])
         assert "update self(u)" in fixed
         assert "offset=384" in fixed
 
     def test_insert_wait_before_send(self):
-        fixed = roundtrip("""
-            !$lint extent(u=36864)
-            !$acc enter data copyin(u)
-            !$lint name=fwd dims=96x96 reads=u writes=u
-            !$acc parallel loop gang vector
-            !$lint bytes=384 offset=384
-            !$acc update host(u) async(2)
-            !$lint send(u) to=1 bytes=384 offset=384
-            !$acc exit data delete(u)
-        """)
+        fixed = roundtrip(SCRIPTS["halo-send-before-sync"])
         assert "!$acc wait(2)" in fixed
         # the wait lands between the async update and the send
         lines = fixed.splitlines()
@@ -62,51 +36,26 @@ class TestRoundTrips:
         assert i_upd < i_wait < i_send
 
     def test_widen_short_ghost_update(self):
-        fixed = roundtrip("""
-            !$lint extent(u=36864)
-            !$acc enter data copyin(u)
-            !$lint host_writes(u) bytes=768 offset=0
-            !$lint bytes=384 offset=0
-            !$acc update device(u)
-            !$lint name=fwd dims=96x96 reads=u writes=u halo=2
-            !$acc parallel loop gang vector
-            !$acc exit data delete(u)
-        """)
+        fixed = roundtrip(SCRIPTS["short-ghost-transfer"])
         # widened in place: halo(2) * 96 cols * 4 bytes = 768
         assert "bytes=768" in fixed
         assert "bytes=384" not in fixed
         assert fixed.count("update device(u)") == 1
 
     def test_multiple_findings_fixed_in_one_pass(self):
-        fixed = roundtrip("""
-            !$lint extent(u=36864)
-            !$lint extent(v=36864)
-            !$acc enter data copyin(u, v)
-            !$lint host_writes(u) bytes=768 offset=0
-            !$lint host_writes(v) bytes=512 offset=0
-            !$lint name=fwd dims=96x96 reads=u,v writes=u
-            !$acc parallel loop gang vector
-            !$acc exit data delete(u, v)
-        """)
+        fixed = roundtrip(SCRIPTS["two-arrays-stale"])
         assert "update device(u)" in fixed
         assert "update device(v)" in fixed
 
     def test_indentation_matches_anchor(self):
-        text = (
-            "!$lint extent(u=1024)\n"
-            "!$acc enter data copyin(u)\n"
-            "    !$lint host_writes(u) bytes=64 offset=0\n"
-            "    !$lint name=k dims=16x16 reads=u writes=u\n"
-            "    !$acc parallel loop\n"
-            "!$acc exit data delete(u)\n"
-        )
+        text = SCRIPTS["indented-anchor"]
         before = sanitize_script(text)
         fixed, _ = apply_fixes(text, before.diagnostics)
         inserted = [l for l in fixed.splitlines() if "update device" in l]
         assert inserted and inserted[0].startswith("    ")
 
     def test_apply_with_no_fixable_findings_is_noop(self):
-        text = "!$acc enter data copyin(u)\n!$acc exit data delete(u)\n"
+        text = SCRIPTS["enter-exit-only"]
         result = sanitize_script(text)
         fixed, applied = apply_fixes(text, result.diagnostics)
         assert applied == 0 and fixed == text

@@ -5,8 +5,9 @@ fault knob into the executed per-rank multi-GPU path and pins the single
 diagnostic code the sanitizer must report for it; the script tests seed
 the same hazards in hand-written ``!$acc`` scripts (including the
 out-of-bounds transfer, which the live present table refuses to execute).
-The live runs are also re-read by the static interpreter, which must prove
-no rule on a rank that the sanitizer did not report there.
+The live runs, the scripts and the one-rank seed programs are also
+re-read by the static interpreter, which must prove no rule on a rank
+that the sanitizer did not report there.
 """
 
 import pytest
@@ -14,8 +15,11 @@ import pytest
 from repro.analyze.dataflow.absint import interpret_program
 from repro.analyze.framework import Severity
 from repro.analyze.rules import rule
+from repro.bench.workloads import MODES, SEED_PAIRS
 from repro.core.multigpu import ExchangeProtocol
 from repro.sanitize import PASSES, sanitize_pipeline, sanitize_script
+from repro.sanitize.cli import sanitize_case
+from tests.sanitize.seeded import LIVE_FAULTS, SCRIPTS
 
 
 def codes(result):
@@ -68,156 +72,83 @@ class TestLiveFaultSeeded:
         assert codes(r) == ["stale-device-read"]
 
 
-#: the live fault knobs above -> (``run`` keywords, the rule the static
-#: interpreter proves on the recordings, or None when it proves none)
-LIVE_FAULTS = {
-    "clean": ({}, None),
-    "no ghost update device": (
-        {"protocol": ExchangeProtocol(update_ghost_device=False)},
-        "stale-device-read",
-    ),
-    "no update host before send": (
-        {"protocol": ExchangeProtocol(update_host_before_send=False)},
-        "stale-host-read",
-    ),
-    "async update without wait": (
-        {"protocol": ExchangeProtocol(async_updates=True, sync_before_send=False)},
-        "halo-send-before-sync",
-    ),
-    "async update with wait": (
-        {"protocol": ExchangeProtocol(async_updates=True, sync_before_send=True)},
-        None,
-    ),
-    # the short ghost is found by comparing the decomposition's halo with
-    # the stencil radius, which only the sanitizer is told
-    "halo_width=2": ({"halo_width": 2}, None),
-}
-
-
 class TestStaticWithinDynamic:
-    """The converse of the static/dynamic agreement on the scripts: on
-    every live recording, each rule ``interpret_program`` proves is one
-    the sanitizer reported for the same rank."""
+    """The converse of the static/dynamic agreement: on every live
+    recording, seeded script and one-rank seed program, each rule
+    ``interpret_program`` proves is one the sanitizer reported for the
+    same rank."""
 
-    @pytest.mark.parametrize("mode", ["modeling", "rtm"])
-    @pytest.mark.parametrize("ranks", [2, 4])
-    @pytest.mark.parametrize("fault", sorted(LIVE_FAULTS))
-    def test_static_rules_are_dynamic_rules(self, fault, ranks, mode):
-        kwargs, expected = LIVE_FAULTS[fault]
-        r = run(ranks=ranks, mode=mode, **kwargs)
+    @staticmethod
+    def proved_within_reported(result) -> set[str]:
         proved = set()
-        for rank, program in enumerate(r.programs):
+        for rank, program in enumerate(result.programs):
+            prefix = f"[rank {rank}] " if result.nranks > 1 else ""
             dynamic = {
-                rule(d.rule).static_rule for d in r.diagnostics
-                if d.message.startswith(f"[rank {rank}] ")
+                rule(d.rule).static_rule for d in result.diagnostics
+                if d.message.startswith(prefix)
             }
             static = {d.rule for d in interpret_program(program).diagnostics}
             assert static <= dynamic, (rank, static, dynamic)
             proved |= static
+        return proved
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("ranks", [2, 4])
+    @pytest.mark.parametrize("fault", sorted(LIVE_FAULTS))
+    def test_static_rules_are_dynamic_rules(self, fault, ranks, mode):
+        kwargs, expected = LIVE_FAULTS[fault]
+        proved = self.proved_within_reported(
+            run(ranks=ranks, mode=mode, **kwargs)
+        )
         assert proved == ({rule(expected).static_rule} if expected else set())
+
+    @pytest.mark.parametrize("name", sorted(SCRIPTS))
+    def test_seeded_scripts(self, name):
+        self.proved_within_reported(sanitize_script(SCRIPTS[name]))
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("physics,ndim", SEED_PAIRS)
+    def test_seed_programs_at_one_rank(self, physics, ndim, mode):
+        self.proved_within_reported(sanitize_case(physics, ndim, mode))
 
 
 class TestScriptSeeded:
     def test_stale_device_read(self):
-        r = sanitize_script("""
-            !$lint extent(u=36864)
-            !$acc enter data copyin(u)
-            !$lint host_writes(u) bytes=768 offset=0
-            !$lint name=fwd dims=96x96 reads=u writes=u
-            !$acc parallel loop gang vector
-            !$acc exit data delete(u)
-        """)
+        r = sanitize_script(SCRIPTS["stale-device-read"])
         assert codes(r) == ["stale-device-read"]
         (d,) = r.diagnostics
         assert d.severity is Severity.ERROR
         assert d.fix is not None
 
     def test_update_device_makes_it_clean(self):
-        r = sanitize_script("""
-            !$lint extent(u=36864)
-            !$acc enter data copyin(u)
-            !$lint host_writes(u) bytes=768 offset=0
-            !$acc update device(u)
-            !$lint name=fwd dims=96x96 reads=u writes=u
-            !$acc parallel loop gang vector
-            !$acc exit data delete(u)
-        """)
+        r = sanitize_script(SCRIPTS["update-device-clean"])
         assert r.clean(), codes(r)
 
     def test_stale_host_read_on_send(self):
-        r = sanitize_script("""
-            !$lint extent(u=36864)
-            !$acc enter data copyin(u)
-            !$lint name=fwd dims=96x96 reads=u writes=u
-            !$acc parallel loop gang vector
-            !$acc wait
-            !$lint send(u) to=1 bytes=384 offset=384
-            !$acc exit data delete(u)
-        """)
+        r = sanitize_script(SCRIPTS["stale-host-read"])
         assert codes(r) == ["stale-host-read"]
 
     def test_halo_send_before_sync(self):
         """Async update host not waited on before the MPI send reads it."""
-        r = sanitize_script("""
-            !$lint extent(u=36864)
-            !$acc enter data copyin(u)
-            !$lint name=fwd dims=96x96 reads=u writes=u
-            !$acc parallel loop gang vector
-            !$lint bytes=384 offset=384
-            !$acc update host(u) async(2)
-            !$lint send(u) to=1 bytes=384 offset=384
-            !$acc exit data delete(u)
-        """)
+        r = sanitize_script(SCRIPTS["halo-send-before-sync"])
         assert codes(r) == ["halo-send-before-sync"]
 
     def test_waited_async_update_is_clean(self):
-        r = sanitize_script("""
-            !$lint extent(u=36864)
-            !$acc enter data copyin(u)
-            !$lint name=fwd dims=96x96 reads=u writes=u
-            !$acc parallel loop gang vector
-            !$lint bytes=384 offset=384
-            !$acc update host(u) async(2)
-            !$acc wait(2)
-            !$lint send(u) to=1 bytes=384 offset=384
-            !$acc exit data delete(u)
-        """)
+        r = sanitize_script(SCRIPTS["waited-async-update"])
         assert r.clean(), codes(r)
 
     def test_short_ghost_transfer(self):
         """A partial update device narrower than the stencil's ghost need."""
-        r = sanitize_script("""
-            !$lint extent(u=36864)
-            !$acc enter data copyin(u)
-            !$lint host_writes(u) bytes=768 offset=0
-            !$lint bytes=384 offset=0
-            !$acc update device(u)
-            !$lint name=fwd dims=96x96 reads=u writes=u halo=2
-            !$acc parallel loop gang vector
-            !$acc exit data delete(u)
-        """)
+        r = sanitize_script(SCRIPTS["short-ghost-transfer"])
         assert codes(r) == ["short-ghost-transfer"]
 
     def test_ghost_transfer_out_of_bounds(self):
-        r = sanitize_script("""
-            !$lint extent(u=1024)
-            !$acc enter data copyin(u)
-            !$lint bytes=2048 offset=512
-            !$acc update device(u)
-            !$acc exit data delete(u)
-        """)
+        r = sanitize_script(SCRIPTS["ghost-transfer-out-of-bounds"])
         assert codes(r) == ["ghost-transfer-out-of-bounds"]
 
     def test_unflushed_device_writes_at_copyout(self):
         """exit data copyout while dev-dirty is a stale host copy."""
-        r = sanitize_script("""
-            !$lint extent(u=1024)
-            !$acc enter data copyin(u)
-            !$lint name=k writes=u
-            !$acc parallel loop
-            !$lint host_reads(u)
-            !$acc exit data delete(u)
-        """)
+        r = sanitize_script(SCRIPTS["unflushed-copyout"])
         assert "stale-host-read" in codes(r)
 
 
