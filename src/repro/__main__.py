@@ -40,9 +40,9 @@ Commands
     search vector length / registers / construct / async, write a
     TuningPlan JSON (see ``docs/tuning.md``).
 ``sanitize CASE | all | --script FILE [--ranks N] [--fix]``
-    Dynamic coherence sanitizer + cross-rank halo race detector: run a
-    case's per-rank schedule (or replay a script) under shadow-state and
-    vector-clock checking; ``--fix`` applies the proposed directive
+    Dynamic coherence sanitizer + halo race detector: run a case's
+    per-rank schedule (or replay a script) through the coherence engine,
+    event by event; ``--fix`` applies the proposed directive
     edits to a script and re-sanitizes (see ``docs/analysis.md``).
 ``scale CASE | all [--ranks 1,2,4,8]``
     Multi-rank scaling observatory: sweep the executed multi-GPU

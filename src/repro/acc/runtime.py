@@ -145,7 +145,7 @@ class Runtime:
         """Mark the *host* copies of ``names`` as consumed outside
         directives (an MPI send packing a halo face, host-side I/O). A
         no-op for execution; the sanitizer checks the range against its
-        device-dirty shadow intervals."""
+        device-dirty intervals."""
         if self._recorders and names:
             self._record(
                 "host_read", reads=tuple(names),

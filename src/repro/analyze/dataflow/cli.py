@@ -29,7 +29,12 @@ from repro.analyze.dataflow.opportunities import (
 from repro.analyze.framework import Severity, parse_severity
 from repro.analyze.frontend import program_from_script
 from repro.analyze.program import DirectiveProgram, ProgramMeta
-from repro.bench.workloads import RECORD_SHAPES, case_targets, space_order
+from repro.bench.workloads import (
+    RECORD_SHAPES,
+    case_targets,
+    check_rank_count,
+    space_order,
+)
 from repro.utils.errors import ConfigurationError
 
 
@@ -55,7 +60,8 @@ def _record_case(
 def deps_targets(args) -> list[tuple[str, str | None, list[DirectiveProgram]]]:
     """Resolve the CLI namespace into ``(label, mode, per-rank programs)``
     targets."""
-    ranks = int(getattr(args, "ranks", 1) or 1)
+    ranks = getattr(args, "ranks", 1)
+    check_rank_count(ranks)
     if getattr(args, "script", None):
         with open(args.script, encoding="utf-8") as fh:
             program = program_from_script(

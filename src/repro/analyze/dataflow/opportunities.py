@@ -6,7 +6,7 @@ records) and :mod:`repro.optim.transformations`: every record names the events
 involved, the legality proof, and — decisively — carries a
 machine-checked verification: :func:`apply_opportunity` produces the
 transformed event schedule and :func:`verify_opportunity` replays both
-schedules through the sanitizer's shadow state, requiring the final
+schedules through the coherence engine, requiring the final
 per-array dirty intervals and the diagnostic set to be *identical*. An
 opportunity that fails replay is reported with ``verified: false`` and
 must not be applied.
@@ -35,10 +35,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.analyze.dataflow.absint import CoherenceSummary, interpret_program
+from repro.analyze.dataflow.absint import (
+    CoherenceEngine,
+    CoherenceState,
+    CoherenceSummary,
+    Finding,
+    coverage_of,
+    interpret_program,
+)
 from repro.analyze.dataflow.graph import DependenceGraph, LoopRegion
 from repro.analyze.program import AccEvent, DirectiveProgram
-from repro.sanitize.shadow import normalize
 
 #: schema version of the opportunities artifact
 OPPORTUNITY_SCHEMA_VERSION = 1
@@ -207,7 +213,7 @@ def _find_fusions(program, graph, regions, mask):
         between = program.events[a.index + 1:b.index]
         # a wait between the pair is a cross-queue barrier: hoisting b
         # above it could unorder b against other queues' in-flight work,
-        # which shadow replay cannot observe
+        # which the fingerprint replay cannot observe
         if any(x.kind == "wait" for x in between):
             continue
         blockers = graph.dependences_between(a.index, b.index)
@@ -365,29 +371,32 @@ def apply_opportunity(
 
 
 def replay_fingerprint(program: DirectiveProgram) -> tuple:
-    """Replay one schedule through the sanitizer's shadow machinery and
-    fingerprint the outcome: final per-array dirty intervals (bitwise)
-    plus the diagnostic set. Two programs with equal fingerprints leave
-    host and device memory in the same bytewise state — the equivalence
-    relation behind :func:`verify_opportunity` and the compiled-step
-    verification gate in :mod:`repro.compile`."""
-    from repro.sanitize.session import SanitizeSession
+    """Step the coherence engine once over one schedule, as the sanitizer
+    does, and fingerprint the outcome: final per-array dirty intervals
+    (bitwise) plus the findings the sanitizer would report (one per rule,
+    array, kernel and event label). Two programs with equal fingerprints
+    leave host and device memory in the same bytewise state — the
+    equivalence relation behind :func:`verify_opportunity` and the
+    compiled-step verification gate in :mod:`repro.compile`."""
+    found: set[tuple] = set()
 
-    session = SanitizeSession(nranks=1, name=program.meta.name)
-    session.replay(program)
-    shadows = tuple(sorted(
+    def record(f: Finding) -> None:
+        found.add((f.key, f.var or "", f.kernel or "", f.event.label))
+
+    state = CoherenceState()
+    CoherenceEngine(program, record).run_range(
+        state, 0, len(program.events), emit=True
+    )
+    arrays = tuple(sorted(
         (
             name,
-            tuple(normalize(sh.host_dirty)),
-            tuple(normalize(sh.dev_dirty)),
+            tuple(coverage_of(st.host_dirty)),
+            tuple(coverage_of(st.dev_dirty)),
         )
-        for name, sh in session.shadows[0].items()
+        for name, st in state.arrays.items()
     ))
-    diags = tuple(sorted(
-        (d.rule, d.var or "", d.kernel or "")
-        for d in session.diagnostics
-    ))
-    return shadows, diags
+    diags = tuple(sorted(key[:3] for key in found))
+    return arrays, diags
 
 
 def verify_opportunity(
@@ -395,8 +404,8 @@ def verify_opportunity(
     opp: OptimizationOpportunity,
     baseline: tuple | None = None,
 ) -> bool:
-    """Replay original vs transformed; True iff the final shadow state
-    and diagnostics are identical (the bitwise-equivalence gate).
+    """Replay original vs transformed; True iff the final dirty coverage
+    and findings are identical (the bitwise-equivalence gate).
     ``baseline`` caches the original's fingerprint across candidates."""
     try:
         transformed = apply_opportunity(program, opp)

@@ -1,14 +1,16 @@
 """The shared coherence-rule registry: one record per bug class.
 
-Every coherence bug class this project detects has up to two detectors —
-the *dynamic* sanitizer pass (:mod:`repro.sanitize.session`), which flags
-it on an executed schedule, and the *static* dataflow engine
-(:mod:`repro.analyze.dataflow`), which proves or refutes it on the
-recorded :class:`~repro.analyze.program.DirectiveProgram` before any run.
-Both detectors draw their code, message template and docs anchor from
-this registry, so a bug class is documented once and the two findings are
-trivially matchable (the static rule id is ``<code>-<key>``, e.g.
-``DF001-stale-device-read``).
+The five coherence rules have one implementation, the coherence engine
+(:class:`~repro.analyze.dataflow.absint.CoherenceEngine`), and two
+drivers: the *static* one (:func:`~repro.analyze.dataflow.interpret_program`)
+closes the step loop and proves or refutes each rule on the recorded
+:class:`~repro.analyze.program.DirectiveProgram` before any run; the
+*dynamic* one (:class:`~repro.sanitize.session.SanitizeSession`) steps
+the engine once over each rank's executed events and reports under the
+sanitizer's pass names. Both draw their code, message template and docs
+anchor from this registry, so a bug class is documented once and the two
+findings are trivially matchable (the static rule id is ``<code>-<key>``,
+e.g. ``DF001-stale-device-read``).
 
 ``DF0xx`` codes mirror the sanitizer's five dynamic rules; ``DF1xx``
 codes are static-only cross-rank findings (message matching and deadlock
@@ -30,7 +32,7 @@ from repro.analyze.framework import Severity
 
 @dataclass(frozen=True)
 class Rule:
-    """One bug class: identity, detectors, message templates, docs."""
+    """One bug class: identity, pass names, message templates, docs."""
 
     key: str
     #: static diagnostic code (``DF...``)
@@ -41,7 +43,7 @@ class Rule:
     #: static dataflow pass name (None = dynamic-only rule; unused today)
     static_pass: str | None
     title: str
-    #: ``str.format`` template both detectors feed
+    #: ``str.format`` template the engine fills for both drivers
     message: str
     #: alternate template for the rule's secondary phrasing, when one
     #: exists (e.g. short-ghost-transfer's decomposition-geometry variant)

@@ -106,6 +106,12 @@ def check_mode(mode: str) -> None:
         raise ConfigurationError(f"mode must be 'modeling' or 'rtm', not '{mode}'")
 
 
+def check_rank_count(ranks: int) -> None:
+    """Refuse a rank (simulated card) count below one."""
+    if ranks < 1:
+        raise ConfigurationError("ranks must be >= 1")
+
+
 def space_order(ndim: int) -> int:
     """Stencil order of the reduced seed-case runs: 8 in 2-D, 4 in 3-D."""
     return 4 if ndim == 3 else 8

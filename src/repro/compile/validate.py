@@ -211,7 +211,7 @@ def validate_opportunity(
 
     Returns the refuting ``DF201``-``DF203`` diagnostics — empty means
     admitted.  Strictly more conservative than
-    :func:`~repro.analyze.dataflow.verify_opportunity`'s shadow replay:
+    :func:`~repro.analyze.dataflow.verify_opportunity`'s replay:
     whatever the replay rejects, this refuses too (the cross-check suite
     asserts that direction on the forged fixtures).
     """

@@ -361,7 +361,7 @@ class MultiGpuPipeline:
             session.declare_stencil(self.radius)
         dims = (self.ngpus,) + (1,) * (self.ndim - 1)
         self.decomp = CartesianDecomposition(Grid(self.shape), dims, halo=halo)
-        self.mpi = SimMPI(self.ngpus, observer=session)
+        self.mpi = SimMPI(self.ngpus)
         if injector is not None:
             injector.attach_mpi(self.mpi)
         self._exchange_tracer = exchange_tracer

@@ -92,9 +92,6 @@ class Request:
                 f"{self._buf.size} (rank {self.rank} <- {self.peer}, tag {self.tag})"
             )
         self._buf.ravel()[:] = msg.ravel()
-        obs = self._mpi.observer
-        if obs is not None:
-            obs.on_recv(self.rank, self.peer, self.tag, int(msg.nbytes))
 
 
 @dataclass
@@ -107,10 +104,6 @@ class SimMPI:
     #: optional trace sink; when set, every send also bumps the
     #: ``mpi.messages`` / ``mpi.bytes`` metrics of the attached registry
     tracer: Tracer | None = None
-    #: optional message observer (duck-typed: ``on_isend(rank, dest, tag,
-    #: nbytes)`` / ``on_recv(rank, source, tag, nbytes)``) — the coherence
-    #: sanitizer hangs its cross-rank happens-before edges here
-    observer: object | None = None
     #: optional fault injector (duck-typed: ``on_message(rank, dest, tag,
     #: nbytes) -> 'deliver'|'drop'|'duplicate'|'delay'``) consulted by every
     #: send — the resilience layer's mpi-drop/dup/delay faults
@@ -192,8 +185,6 @@ class RankComm:
             m = self._mpi.tracer.metrics
             m.counter("mpi.messages").add()
             m.counter("mpi.bytes").add(int(data.nbytes))
-        if self._mpi.observer is not None:
-            self._mpi.observer.on_isend(self.rank, dest, int(tag), int(data.nbytes))
         return Request(self._mpi, "send", self.rank, dest, int(tag))
 
     def irecv(self, buf: np.ndarray, source: int, tag: int = 0) -> Request:

@@ -26,6 +26,7 @@ import numpy as np
 from repro.bench.workloads import (
     SEED_CASES,
     check_mode,
+    check_rank_count,
     expand_modes,
     is_all,
     parse_case,
@@ -248,6 +249,7 @@ def run_chaos_campaign(
     tracer=None,
 ) -> ResilienceReport:
     """The full campaign: every case x mode x fault kind."""
+    check_rank_count(ranks)
     cases = tuple(cases) if cases else SEED_CASES
     report = ResilienceReport(seed=seed, ranks=ranks)
     for case in cases:

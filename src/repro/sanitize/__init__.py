@@ -1,13 +1,13 @@
-"""repro.sanitize — dynamic coherence sanitizer + cross-rank race detector.
+"""repro.sanitize — the dynamic driver of the coherence engine.
 
-Where :mod:`repro.analyze` lints directive *programs* statically, this
-package checks what a run actually did: per-array shadow state tracks
-which byte ranges of each host/device copy are stale
-(:mod:`repro.sanitize.shadow`), a cross-rank vector-clock graph tracks
-which async operations each rank's host thread has synchronized with
-(:mod:`repro.sanitize.rankrace`), and the session
-(:mod:`repro.sanitize.session`) turns violations into the lint
-machinery's :class:`~repro.analyze.framework.Diagnostic` records — with
+Where :mod:`repro.analyze` proves coherence rules statically over a whole
+directive program (loop closure included), this package checks what a
+run actually did: the session (:mod:`repro.sanitize.session`) steps the
+same engine (:class:`~repro.analyze.dataflow.absint.CoherenceEngine`)
+once over each rank's events as they are recorded or replayed, adds the
+one check only a live run can make (the decomposition's halo against the
+stencil radius), and reports findings as the lint machinery's
+:class:`~repro.analyze.framework.Diagnostic` records — with
 machine-applicable :mod:`~repro.sanitize.fixit` edits for script-anchored
 findings. ``python -m repro sanitize`` is the CLI; ``GPUOptions.sanitize``
 gates real runs on a sanitized dry run.
@@ -20,14 +20,11 @@ from repro.sanitize.drivers import (
 )
 from repro.sanitize.fixit import ScriptFix, apply_fixes, collect_fixes
 from repro.sanitize.session import PASSES, SanitizeResult, SanitizeSession
-from repro.sanitize.shadow import UNKNOWN_EXTENT, ShadowArray
 
 __all__ = [
     "SanitizeSession",
     "SanitizeResult",
     "PASSES",
-    "ShadowArray",
-    "UNKNOWN_EXTENT",
     "ScriptFix",
     "apply_fixes",
     "collect_fixes",

@@ -18,7 +18,12 @@ picks the report (``--json`` is kept as an alias of ``--format json``).
 from __future__ import annotations
 
 from repro.analyze.framework import fail_on_status
-from repro.bench.workloads import RECORD_SHAPES, case_targets, space_order
+from repro.bench.workloads import (
+    RECORD_SHAPES,
+    case_targets,
+    check_rank_count,
+    space_order,
+)
 from repro.sanitize.drivers import sanitize_pipeline, sanitize_script
 from repro.sanitize.fixit import apply_fixes, collect_fixes
 from repro.sanitize.session import SanitizeResult
@@ -53,7 +58,8 @@ def sanitize_targets(args) -> list[SanitizeResult]:
         with open(args.script, encoding="utf-8") as fh:
             text = fh.read()
         return [sanitize_script(text, name=args.script)]
-    ranks = int(getattr(args, "ranks", 1) or 1)
+    ranks = getattr(args, "ranks", 1)
+    check_rank_count(ranks)
     return [
         sanitize_case(physics, ndim, mode, ranks=ranks, nt=args.nt)
         for physics, ndim, mode in case_targets(

@@ -3,9 +3,9 @@
 ``sanitize_pipeline`` drives the executed per-rank multi-GPU path
 (:class:`~repro.core.multigpu.MultiGpuPipeline`) in estimate mode with a
 :class:`~repro.sanitize.session.SanitizeSession` attached to every rank's
-runtime, the halo exchanger and the MPI world — so coherence, ghost
-geometry and cross-rank ordering are all checked against the schedule the
-run actually executed. ``sanitize_script`` replays a parsed ``!$acc``
+runtime and the halo exchanger — so coherence, ghost geometry and
+send-before-sync ordering are all checked against the schedule the run
+actually executed. ``sanitize_script`` replays a parsed ``!$acc``
 script through the same checks without running anything.
 
 ``check_sanitize`` is the pipeline's opt-in strict mode

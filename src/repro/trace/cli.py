@@ -17,6 +17,7 @@ from __future__ import annotations
 from repro.bench.workloads import (
     RECORD_SHAPES,
     check_mode,
+    check_rank_count,
     parse_case,
     small_case_config,
     space_order,
@@ -47,8 +48,7 @@ def trace_case(
     check_mode(mode)
     if nt < 1:
         raise ConfigurationError("nt must be >= 1")
-    if ranks < 1:
-        raise ConfigurationError("ranks must be >= 1")
+    check_rank_count(ranks)
 
     tracer = tracer if tracer is not None else Tracer()
     shape = RECORD_SHAPES[ndim]

@@ -1,4 +1,5 @@
-"""The shared rule registry: one record per bug class, two detectors."""
+"""The shared rule registry: one record per bug class, one engine, two
+drivers."""
 
 import pathlib
 

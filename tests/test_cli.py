@@ -120,6 +120,26 @@ class TestMalformedInput:
         assert proc.stderr.startswith(f"repro {command}: unknown case 'bogus'")
         assert "iso{2d,3d}, ac{2d,3d}, el{2d,3d}" in proc.stderr
 
+    @pytest.mark.parametrize("command,ranks", [
+        ("sanitize", "0"), ("sanitize", "-1"), ("deps", "0"), ("deps", "-2"),
+        ("chaos", "0"), ("trace", "0"),
+    ])
+    def test_ranks_below_one_exits_two(self, command, ranks, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", command, "iso2d", "--ranks", ranks],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == f"repro {command}: ranks must be >= 1\n"
+
     def test_all_is_case_insensitive(self, capsys):
         assert main(["lint", "ALL", "--no-ledger", "--format", "json"]) == 0
         upper = capsys.readouterr().out
