@@ -29,7 +29,7 @@ from repro.core.config import GPUOptions, ModelingConfig, RTMConfig
 from repro.core.modeling import estimate_modeling, run_modeling
 from repro.core.multigpu import MultiGpuPipeline
 from repro.core.rtm import estimate_rtm, run_rtm
-from repro.model import layered_model
+from repro.model import layered_model, with_thomsen
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.resilience.recovery import (
     BackoffPolicy,
@@ -136,26 +136,33 @@ OOM_RUNS = [
 ]
 
 
+#: the executed-physics cube and its step count: the wave reaches every
+#: absorbing slab, and every 3-D stencil axis (inner ones too) runs, at a
+#: size the suite can afford
+CUBE, CUBE_NT = (28, 28, 28), 40
+
+
 def _model(physics, shape=(48, 48)):
     kw = {"vs_ratio": 0.5} if physics == "elastic" else {}
-    return layered_model(
+    model = layered_model(
         shape, spacing=10.0, interfaces=[shape[0] * 10.0 / 2],
         velocities=[1500.0, 2600.0], **kw,
     )
+    return with_thomsen(model, 0.12, 0.05) if physics == "vti" else model
 
 
-def _cfg(cls, physics, nt=18, **over):
+def _cfg(cls, physics, nt=18, shape=(48, 48), **over):
     kw = dict(
-        physics=physics, model=_model(physics), nt=nt, peak_freq=12.0,
+        physics=physics, model=_model(physics, shape), nt=nt, peak_freq=12.0,
         space_order=8, boundary_width=8, snap_period=SNAP,
     )
     kw.update(over)
     return cls(**kw)
 
 
-def rtm_digest(physics, attached):
+def rtm_digest(physics, attached, shape=(48, 48), nt=18, pml_variant="branchy"):
     res = run_rtm(
-        _cfg(RTMConfig, physics),
+        _cfg(RTMConfig, physics, nt, shape, pml_variant=pml_variant),
         gpu_options=GPUOptions() if attached else None,
     )
     return _sha({
@@ -167,9 +174,9 @@ def rtm_digest(physics, attached):
     })
 
 
-def modeling_digest(physics, attached):
+def modeling_digest(physics, attached, shape=(48, 48), nt=18):
     res = run_modeling(
-        _cfg(ModelingConfig, physics, snapshot_decimate=2),
+        _cfg(ModelingConfig, physics, nt, shape, snapshot_decimate=2),
         gpu_options=GPUOptions() if attached else None,
     )
     return _sha({
@@ -285,6 +292,17 @@ def _cases() -> dict:
             cases[f"multigpu/{SHORT[physics]}2d-{mode}"] = (
                 multigpu_digest, (physics, mode),
             )
+        cases[f"run_rtm/{SHORT[physics]}3d-host"] = (
+            rtm_digest, (physics, False, CUBE, CUBE_NT),
+        )
+        cases[f"run_modeling/{SHORT[physics]}3d-host"] = (
+            modeling_digest, (physics, False, CUBE, CUBE_NT),
+        )
+    for variant in ("restructured", "everywhere"):
+        cases[f"run_rtm/iso2d-{variant}-host"] = (
+            rtm_digest, ("isotropic", False, (48, 48), 18, variant),
+        )
+    cases["run_modeling/vti2d-host"] = (modeling_digest, ("vti", False))
     for mode in ("modeling", "rtm"):
         for spec in RESILIENT_SPECS:
             cases[f"resilient/{mode}-{spec}"] = (resilient_digest, (mode, spec))
@@ -393,16 +411,25 @@ GOLDENS: dict[str, str] = {
     "resilient_multi/rtm-rank-dead-late": "68bc4ca992c528f5ef30a0eb9179f7a2671e7b763010e9a1c318ade7da500360",
     "run_modeling/ac2d-attached": "75886c6b1fdfd5989970c3405742b4f0fd63ae15ff788c6855b2afc0ba6a5e06",
     "run_modeling/ac2d-host": "99349460acadad6a9d2b9fbcb29f96218671cc2a776b94c3af788d6ed38375fe",
+    "run_modeling/ac3d-host": "c7ded8959cc1f74e02ebc1bf5f713ddfd4abdfdfd23ca9251f2c82e18bcd991b",
     "run_modeling/el2d-attached": "b8529c34803b44dcc5f9cf8fc2fd9183fdbe9ab79faea6e95cda36176e8037c6",
     "run_modeling/el2d-host": "6938fcb9026aa960d262348d776122ee68c8a17a899edf572089e45285c9e3ee",
+    "run_modeling/el3d-host": "6c8d8f4e70f82ea228078e851b2eef8e7f11bac45f39ac35cead280ce33f2089",
     "run_modeling/iso2d-attached": "223057516495a387bf9d8b4a006f250eeb4e1db8a2c38f454bf7217a726b8889",
     "run_modeling/iso2d-host": "e1d03f89892695c5a149d05079264492887d55b73e31b32eaf89c51fad44a6f7",
+    "run_modeling/iso3d-host": "5d73f996b6a6fa35d822fef741f9efb791e2fd2624234de78ce37a61a9a7f35b",
+    "run_modeling/vti2d-host": "81b8176af1677a84eee02ba9c74d24a6a1fd8325506a2dc3060bafd6e7f3c7fb",
     "run_rtm/ac2d-attached": "889b3d406c6b87d5490b9eea45793f0f1998ceb7829f560ed34c77a691a5d518",
     "run_rtm/ac2d-host": "be97af57081677118d2ca3253dc7d71ff237e515fb692b499a21d281e3ce1ab7",
+    "run_rtm/ac3d-host": "6c1c503e59d8454a2d61e025b8a706417b3a0366fd28a5da616e4c20108d7bf4",
     "run_rtm/el2d-attached": "aadcbb3b1a91694dc3888a3c2f58a6a36da265b6cf02ce321673e8a7745927ec",
     "run_rtm/el2d-host": "1320283cfce3ce6923e9b0f6e52d1126ed499a29fa90a46df7c5d7a56d9db793",
+    "run_rtm/el3d-host": "6847e4a243a9b05c1c13dcaea72f94b074a7515a5430496a1b756c11d3f39dd3",
     "run_rtm/iso2d-attached": "bcc29a84a4c5d759af643e68aac31ab66a6e3dd76322a56442f8240bb9e69ba0",
+    "run_rtm/iso2d-everywhere-host": "6e5ac8765f3f0b4be9839c31b3c614e8ca5d74865b857d4eb90ccf43eda40768",
     "run_rtm/iso2d-host": "6e5ac8765f3f0b4be9839c31b3c614e8ca5d74865b857d4eb90ccf43eda40768",
+    "run_rtm/iso2d-restructured-host": "6e5ac8765f3f0b4be9839c31b3c614e8ca5d74865b857d4eb90ccf43eda40768",
+    "run_rtm/iso3d-host": "97f63ef14d8cf72cacdb89769c3da2b6c4982453c534bddf8421e6341c224204",
 }
 
 
