@@ -24,7 +24,12 @@ import numpy as np
 
 from repro.boundary.cpml import CPML
 from repro.model.earth_model import EarthModel
-from repro.propagators.base import KernelWorkload, Propagator, staggered_average
+from repro.propagators.base import (
+    KernelWorkload,
+    Propagator,
+    add_scaled,
+    staggered_average,
+)
 from repro.stencil.operators import staggered_diff_backward, staggered_diff_forward
 from repro.utils.arrays import DTYPE
 
@@ -83,16 +88,14 @@ class AcousticPropagator(Propagator):
         div = self._div
         div.fill(0.0)
         for ax in range(self.grid.ndim):
-            # the operator only writes the valid interior; clear the reused
-            # buffer so stale border values never leak into div or the C-PML
-            # memory variables
-            self._deriv.fill(0.0)
+            # the operator writes all of the reused buffer (+0.0 outside its
+            # valid interior), so no stale value reaches div or the C-PML
             d = staggered_diff_backward(
                 self.q[ax], ax, h[ax], self.space_order, out=self._deriv
             )
             d = self.cpml.damp(f"dq{ax}", ax, d, half=False)
             div += d
-        self.p += np.float32(self.dt) * self.kappa * div
+        add_scaled(self.p, np.float32(self.dt), self.kappa, div, self._deriv)
         # source: Eq. 2 injects rho*vp^2 * time-integral of the wavelet; the
         # driver passes the integrated amplitude
         for index, amp in sources:
@@ -103,12 +106,14 @@ class AcousticPropagator(Propagator):
         (fresh) pressure gradient."""
         h = self.grid.spacing
         for ax in range(self.grid.ndim):
-            self._deriv.fill(0.0)
             d = staggered_diff_forward(
                 self.p, ax, h[ax], self.space_order, out=self._deriv
             )
             d = self.cpml.damp(f"dp{ax}", ax, d, half=True)
-            self.q[ax] += np.float32(self.dt) * self.buoyancy[ax] * d
+            # div is free until the next pressure stage: the work buffer
+            add_scaled(
+                self.q[ax], np.float32(self.dt), self.buoyancy[ax], d, self._div
+            )
 
     def _step_impl(self, sources: Sequence[tuple[tuple[int, ...], float]]) -> None:
         self.step_pressure(sources)

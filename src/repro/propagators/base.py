@@ -297,6 +297,21 @@ class Propagator(ABC):
         return sum(w.bytes_moved for w in self.kernel_workloads())
 
 
+def add_scaled(
+    field: np.ndarray,
+    dt: np.float32,
+    coef: np.ndarray,
+    rate: np.ndarray,
+    work: np.ndarray,
+) -> None:
+    """``field += dt * coef * rate`` evaluated in place through ``work``,
+    in the expression's operand order (``dt * coef`` first, then times
+    ``rate``), so the bits match the expression form."""
+    np.multiply(dt, coef, out=work)
+    work *= rate
+    field += work
+
+
 def staggered_average(param: np.ndarray, axis: int) -> np.ndarray:
     """Arithmetic average of a material parameter onto half points along
     ``axis`` (same-shape convention: sample ``i`` -> location ``i + 1/2``;

@@ -37,6 +37,7 @@ from repro.model.earth_model import EarthModel
 from repro.propagators.base import (
     KernelWorkload,
     Propagator,
+    add_scaled,
     staggered_average,
     staggered_harmonic_average,
 )
@@ -87,6 +88,10 @@ class ElasticPropagator2D(Propagator):
         )
         self._d1 = np.zeros(self.grid.shape, dtype=DTYPE)
         self._d2 = np.zeros(self.grid.shape, dtype=DTYPE)
+        self._work = (
+            np.zeros(self.grid.shape, dtype=DTYPE),
+            np.zeros(self.grid.shape, dtype=DTYPE),
+        )
         self._pressure = np.zeros(self.grid.shape, dtype=DTYPE)
 
     def snapshot_field(self) -> np.ndarray:
@@ -106,44 +111,48 @@ class ElasticPropagator2D(Propagator):
 
     # ------------------------------------------------------------------
     def _dx_fwd(self, f, name):
-        self._d1.fill(0.0)
         d = staggered_diff_forward(f, _X, self.grid.spacing[_X], self.space_order, out=self._d1)
         return self.cpml.damp(name, _X, d, half=True)
 
     def _dx_bwd(self, f, name):
-        self._d1.fill(0.0)
         d = staggered_diff_backward(f, _X, self.grid.spacing[_X], self.space_order, out=self._d1)
         return self.cpml.damp(name, _X, d, half=False)
 
     def _dz_fwd(self, f, name):
-        self._d2.fill(0.0)
         d = staggered_diff_forward(f, _Z, self.grid.spacing[_Z], self.space_order, out=self._d2)
         return self.cpml.damp(name, _Z, d, half=True)
 
     def _dz_bwd(self, f, name):
-        self._d2.fill(0.0)
         d = staggered_diff_backward(f, _Z, self.grid.spacing[_Z], self.space_order, out=self._d2)
         return self.cpml.damp(name, _Z, d, half=False)
 
     def _step_impl(self, sources: Sequence[tuple[tuple[int, ...], float]]) -> None:
         dt = np.float32(self.dt)
+        w, w2 = self._work
         # --- velocities ---------------------------------------------------
-        self.vx += dt * self.buoy_x * (
-            self._dx_fwd(self.sxx, "dsxx_dx") + self._dz_bwd(self.sxz, "dsxz_dz")
-        )
-        self.vz += dt * self.buoy_z * (
-            self._dx_bwd(self.sxz, "dsxz_dx") + self._dz_fwd(self.szz, "dszz_dz")
-        )
+        rate = self._dx_fwd(self.sxx, "dsxx_dx")
+        rate += self._dz_bwd(self.sxz, "dsxz_dz")
+        add_scaled(self.vx, dt, self.buoy_x, rate, w)
+        rate = self._dx_bwd(self.sxz, "dsxz_dx")
+        rate += self._dz_fwd(self.szz, "dszz_dz")
+        add_scaled(self.vz, dt, self.buoy_z, rate, w)
         if self.mid_step_hook is not None:
             self.mid_step_hook()
-        # --- stresses ------------------------------------------------------
-        dvx_dx = self._dx_bwd(self.vx, "dvx_dx").copy()
+        # --- stresses: s += dt * (lam2mu * own + lam * other) -------------
+        dvx_dx = self._dx_bwd(self.vx, "dvx_dx")
         dvz_dz = self._dz_bwd(self.vz, "dvz_dz")
-        self.sxx += dt * (self.lam2mu * dvx_dx + self.lam * dvz_dz)
-        self.szz += dt * (self.lam2mu * dvz_dz + self.lam * dvx_dx)
-        self.sxz += dt * self.mu_xz * (
-            self._dz_fwd(self.vx, "dvx_dz") + self._dx_fwd(self.vz, "dvz_dx")
-        )
+        for field, own, other in (
+            (self.sxx, dvx_dx, dvz_dz),
+            (self.szz, dvz_dz, dvx_dx),
+        ):
+            np.multiply(self.lam2mu, own, out=w)
+            np.multiply(self.lam, other, out=w2)
+            w += w2
+            w *= dt
+            field += w
+        rate = self._dz_fwd(self.vx, "dvx_dz")
+        rate += self._dx_fwd(self.vz, "dvz_dx")
+        add_scaled(self.sxz, dt, self.mu_xz, rate, w)
         # --- explosive source: equal push on the diagonal stresses ---------
         for index, amp in sources:
             a = dt * np.float32(amp)

@@ -29,6 +29,7 @@ from repro.model.earth_model import EarthModel
 from repro.propagators.base import (
     KernelWorkload,
     Propagator,
+    add_scaled,
     staggered_average,
     staggered_harmonic_average,
 )
@@ -86,7 +87,9 @@ class ElasticPropagator3D(Propagator):
             self.dt,
             alpha_max=cpml_alpha_max,
         )
-        self._buf = np.zeros(self.grid.shape, dtype=DTYPE)
+        #: the three derivative slots and two work buffers of a step
+        self._bufs = tuple(np.zeros(self.grid.shape, dtype=DTYPE) for _ in range(3))
+        self._work = tuple(np.zeros(self.grid.shape, dtype=DTYPE) for _ in range(2))
         self._pressure = np.zeros(self.grid.shape, dtype=DTYPE)
 
     def snapshot_field(self) -> np.ndarray:
@@ -104,56 +107,70 @@ class ElasticPropagator3D(Propagator):
             inject(field, indices, amplitudes, scale=-scale)
 
     # ------------------------------------------------------------------
-    def _diff(self, f: np.ndarray, axis: int, fwd: bool, name: str) -> np.ndarray:
-        """One damped derivative into a fresh array (22 per step; fresh
-        allocation keeps the data flow simple and is amortised by the
-        kernel-sized arithmetic around it)."""
-        self._buf.fill(0.0)
+    def _diff(
+        self, f: np.ndarray, axis: int, fwd: bool, name: str, slot: int
+    ) -> np.ndarray:
+        """One damped derivative (22 per step) into derivative buffer
+        ``slot``: the operator overwrites all of it, so the buffer is
+        reused as is. An update reads at most three derivatives at once,
+        one per slot."""
         h = self.grid.spacing[axis]
-        if fwd:
-            d = staggered_diff_forward(f, axis, h, self.space_order, out=self._buf)
-        else:
-            d = staggered_diff_backward(f, axis, h, self.space_order, out=self._buf)
-        d = self.cpml.damp(name, axis, d, half=fwd)
-        return d.copy()
+        diff = staggered_diff_forward if fwd else staggered_diff_backward
+        d = diff(f, axis, h, self.space_order, out=self._bufs[slot])
+        return self.cpml.damp(name, axis, d, half=fwd)
+
+    def _sum(self, taps) -> np.ndarray:
+        """Left-to-right sum of the damped derivatives ``taps`` (each
+        ``(field, axis, fwd, name)``), accumulated in the first slot."""
+        total = self._diff(*taps[0], 0)
+        for slot, tap in enumerate(taps[1:], start=1):
+            total += self._diff(*tap, slot)
+        return total
 
     def _step_impl(self, sources: Sequence[tuple[tuple[int, ...], float]]) -> None:
         dt = np.float32(self.dt)
-        # --- velocities -----------------------------------------------
-        self.vx += dt * self.buoy[_X] * (
-            self._diff(self.sxx, _X, True, "dsxx_dx")
-            + self._diff(self.sxy, _Y, False, "dsxy_dy")
-            + self._diff(self.sxz, _Z, False, "dsxz_dz")
-        )
-        self.vy += dt * self.buoy[_Y] * (
-            self._diff(self.sxy, _X, False, "dsxy_dx")
-            + self._diff(self.syy, _Y, True, "dsyy_dy")
-            + self._diff(self.syz, _Z, False, "dsyz_dz")
-        )
-        self.vz += dt * self.buoy[_Z] * (
-            self._diff(self.sxz, _X, False, "dsxz_dx")
-            + self._diff(self.syz, _Y, False, "dsyz_dy")
-            + self._diff(self.szz, _Z, True, "dszz_dz")
-        )
+        w, w2 = self._work
+        # --- velocities: v += dt * buoy * (sum of three derivatives) ----
+        for field, axis, taps in (
+            (self.vx, _X, ((self.sxx, _X, True, "dsxx_dx"),
+                           (self.sxy, _Y, False, "dsxy_dy"),
+                           (self.sxz, _Z, False, "dsxz_dz"))),
+            (self.vy, _Y, ((self.sxy, _X, False, "dsxy_dx"),
+                           (self.syy, _Y, True, "dsyy_dy"),
+                           (self.syz, _Z, False, "dsyz_dz"))),
+            (self.vz, _Z, ((self.sxz, _X, False, "dsxz_dx"),
+                           (self.syz, _Y, False, "dsyz_dy"),
+                           (self.szz, _Z, True, "dszz_dz"))),
+        ):
+            add_scaled(field, dt, self.buoy[axis], self._sum(taps), w)
         if self.mid_step_hook is not None:
             self.mid_step_hook()
         # --- diagonal stresses (sharing the three divergence terms) ----
-        dvx_dx = self._diff(self.vx, _X, False, "dvx_dx")
-        dvy_dy = self._diff(self.vy, _Y, False, "dvy_dy")
-        dvz_dz = self._diff(self.vz, _Z, False, "dvz_dz")
-        self.sxx += dt * (self.lam2mu * dvx_dx + self.lam * (dvy_dy + dvz_dz))
-        self.syy += dt * (self.lam2mu * dvy_dy + self.lam * (dvx_dx + dvz_dz))
-        self.szz += dt * (self.lam2mu * dvz_dz + self.lam * (dvx_dx + dvy_dy))
-        # --- shear stresses --------------------------------------------
-        self.sxy += dt * self.mu_xy * (
-            self._diff(self.vy, _X, True, "dvy_dx") + self._diff(self.vx, _Y, True, "dvx_dy")
-        )
-        self.sxz += dt * self.mu_xz * (
-            self._diff(self.vz, _X, True, "dvz_dx") + self._diff(self.vx, _Z, True, "dvx_dz")
-        )
-        self.syz += dt * self.mu_yz * (
-            self._diff(self.vz, _Y, True, "dvz_dy") + self._diff(self.vy, _Z, True, "dvy_dz")
-        )
+        dvx_dx = self._diff(self.vx, _X, False, "dvx_dx", 0)
+        dvy_dy = self._diff(self.vy, _Y, False, "dvy_dy", 1)
+        dvz_dz = self._diff(self.vz, _Z, False, "dvz_dz", 2)
+        # s += dt * (lam2mu * own + lam * (other1 + other2))
+        for field, own, other1, other2 in (
+            (self.sxx, dvx_dx, dvy_dy, dvz_dz),
+            (self.syy, dvy_dy, dvx_dx, dvz_dz),
+            (self.szz, dvz_dz, dvx_dx, dvy_dy),
+        ):
+            np.add(other1, other2, out=w2)
+            w2 *= self.lam
+            np.multiply(self.lam2mu, own, out=w)
+            w += w2
+            w *= dt
+            field += w
+        # --- shear stresses: s += dt * mu * (sum of two derivatives) ----
+        for field, mu, taps in (
+            (self.sxy, self.mu_xy, ((self.vy, _X, True, "dvy_dx"),
+                                    (self.vx, _Y, True, "dvx_dy"))),
+            (self.sxz, self.mu_xz, ((self.vz, _X, True, "dvz_dx"),
+                                    (self.vx, _Z, True, "dvx_dz"))),
+            (self.syz, self.mu_yz, ((self.vz, _Y, True, "dvz_dy"),
+                                    (self.vy, _Z, True, "dvy_dz"))),
+        ):
+            add_scaled(field, dt, mu, self._sum(taps), w)
         # --- explosive source ------------------------------------------
         for index, amp in sources:
             a = dt * np.float32(amp)

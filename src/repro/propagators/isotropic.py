@@ -99,6 +99,7 @@ class IsotropicPropagator(Propagator):
         self.u = self._new_field("u")
         self.u_prev = self._new_field("u_prev")
         self._lap = np.zeros(self.grid.shape, dtype=DTYPE)
+        self._work = np.zeros(self.grid.shape, dtype=DTYPE)
         # precomputed: dt^2 * vp^2 (the paper's Q operator weight)
         self.vp2dt2 = (self.model.vp.astype(np.float64) ** 2 * self.dt**2).astype(DTYPE)
         self._slabs = boundary_slabs(self.grid.shape, self.pml.width)
@@ -116,19 +117,27 @@ class IsotropicPropagator(Propagator):
             u_next = self.pml.coeff_curr * u - self.pml.coeff_prev * up + self.pml.coeff_rhs * rhs
             up[...] = u_next
         else:
-            # plain leapfrog everywhere, then damped overwrite in the slabs
-            u_next = 2.0 * u - up + self.vp2dt2 * lap
+            # damped values in the slabs (from the old u_prev), then the
+            # plain leapfrog in place everywhere, then the slabs written back
+            damped = []
             for sl in self._slabs:
                 rhs = (
                     self.vp2dt2[sl] * lap[sl]
                     - (self.dt**2 * self.pml.sigma2[sl]) * u[sl]
                 )
-                u_next[sl] = (
+                damped.append(
                     self.pml.coeff_curr[sl] * u[sl]
                     - self.pml.coeff_prev[sl] * up[sl]
                     + self.pml.coeff_rhs[sl] * rhs
                 )
-            up[...] = u_next
+            # up <- (2.0 * u - up) + vp2dt2 * lap
+            w = self._work
+            np.multiply(2.0, u, out=w)
+            np.subtract(w, up, out=up)
+            np.multiply(self.vp2dt2, lap, out=w)
+            up += w
+            for sl, values in zip(self._slabs, damped):
+                up[sl] = values
         # source injection: + dt^2 vp^2 f^n at the source point (Eq. 1)
         for index, amp in sources:
             up[index] += self.vp2dt2[index] * np.float32(amp)
