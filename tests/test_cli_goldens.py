@@ -1,11 +1,13 @@
 """Byte-level goldens of the case-taking subcommands' stdout.
 
 Each command runs in-process through :func:`repro.__main__.main`; its
-stdout (with the ``trace --out`` path masked) must hash to the pinned
-sha256. A change to a label, a SARIF tool name, a target order or a
-number shows up here as a changed digest. The multi-rank trace also pins
-its ``trace.json``: every timestamp in it is simulated, so two runs must
-write the same bytes.
+stdout (with the ``--out`` / ``--trace`` path masked) must hash to the
+pinned sha256. A change to a label, a SARIF tool name, a target order or a
+number shows up here as a changed digest. The multi-rank trace and the
+single-card chaos trace also pin their written file: every timestamp in
+them is simulated, so two runs must write the same bytes. The chaos trace
+is the one pin on the order of the recovery spans (retry, restart,
+degrade) a campaign opens.
 """
 
 import hashlib
@@ -48,12 +50,30 @@ GOLDENS = {
          "--no-ledger"],
         "c7a29a6001dbbee239efb5af26824cfc2ea356eb4b6a6d602de292275e525421",
     ),
+    "chaos iso2d --format json": (
+        ["chaos", "iso2d", "--format", "json", "--trace", "{out}",
+         "--no-ledger"],
+        "45d963d75acdf221bb38e03cd5ec6f9257dd14c76190e54ecc2bb26db443eb94",
+    ),
+    "chaos iso2d --ranks 2 --format json": (
+        ["chaos", "iso2d", "--ranks", "2", "--format", "json", "--no-ledger"],
+        "3d079d71f642ffacaa98dd1d31b38afb71dbdeace88406038da6fa9e17beda2f",
+    ),
+    "serve iso2d --workers 2 --gpus 2 --faults mpi-rank-dead@x1": (
+        ["serve", "iso2d", "--workers", "2", "--gpus", "2", "--faults",
+         "mpi-rank-dead@x1", "--format", "json", "--out", "{out}",
+         "--no-ledger"],
+        "e100fe25d0f31b96103fea507ea650764fad128a1f32e96928f1042e60075df8",
+    ),
 }
 
-#: sha256 of the ``--out`` file, for the commands whose trace is pinned
+#: sha256 of the ``--out`` / ``--trace`` file, for the commands whose
+#: trace is pinned
 TRACE_FILES = {
     "trace iso2d --ranks 2 --nt 8":
         "669c11810e83e70c4e630ba89dba87a92c225e6e89f6b470fe8992e5f011bb15",
+    "chaos iso2d --format json":
+        "4c400537da3c96b039af8e578015ba53eeee25ce1508199be641392b1b8fbcb8",
 }
 
 
