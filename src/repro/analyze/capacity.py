@@ -79,14 +79,6 @@ class CapacityProof:
             (p.high_water for p in self.phases if phase in p.phase), default=0
         )
 
-    def symbolic(self, field_bytes: int) -> str:
-        """The peak expressed in grid terms: ``'9 fields + 2304 B'``."""
-        if field_bytes <= 0:
-            return f"{self.peak_bytes} B"
-        fields, rem = divmod(self.peak_bytes, field_bytes)
-        expr = f"{fields} x {bytes_to_human(field_bytes)} field"
-        return f"{expr} + {rem} B" if rem else expr
-
     def to_dict(self) -> dict:
         return {
             "peak_bytes": self.peak_bytes,

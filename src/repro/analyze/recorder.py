@@ -22,7 +22,6 @@ class ProgramRecorder:
 
     def __init__(self, name: str = "recorded"):
         self.program = DirectiveProgram(ProgramMeta(source="recorded", name=name))
-        self._label: str | None = None
 
     # ------------------------------------------------------------------
     def bind_runtime(self, rt) -> None:
@@ -41,15 +40,11 @@ class ProgramRecorder:
             auto_async=rt._auto_async,
         )
 
-    def set_label(self, label: str | None) -> None:
-        """Provenance tag stamped on subsequent events (pipeline phase)."""
-        self._label = label
-
     # ------------------------------------------------------------------
     def record(self, kind: str, sizes: dict[str, int] | None = None, **fields) -> None:
         """The hook entry point: one directive executed by the runtime."""
         self.program.add(AccEvent(
-            kind=kind, index=len(self.program), label=self._label, **fields
+            kind=kind, index=len(self.program), **fields
         ), sizes=sizes)
 
 

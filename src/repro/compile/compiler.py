@@ -295,12 +295,6 @@ class SelectionResult:
     #: ``(kind, events, reason)`` for every opportunity not taken
     skipped: list[tuple[str, tuple[int, ...], str]] = field(default_factory=list)
 
-    def skip_counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for _, _, reason in self.skipped:
-            out[reason] = out.get(reason, 0) + 1
-        return out
-
 
 def _structural_reason(
     program: DirectiveProgram, opp: OptimizationOpportunity

@@ -280,21 +280,6 @@ class ExchangeProtocol:
             queue=queue,
         )
 
-    def fault_specs(self) -> tuple:
-        """The protocol-hazard fault specs this configuration embodies
-        (empty for the correct protocol) — the reverse of
-        :meth:`from_faults`."""
-        from repro.resilience import faults as F
-
-        specs = []
-        if not self.update_host_before_send:
-            specs.append(F.FaultSpec(F.HALO_STALE_HOST))
-        if not self.update_ghost_device:
-            specs.append(F.FaultSpec(F.HALO_STALE_DEVICE))
-        if self.async_updates and not self.sync_before_send:
-            specs.append(F.FaultSpec(F.HALO_SEND_BEFORE_SYNC))
-        return tuple(specs)
-
 
 @dataclass
 class _RankContext:

@@ -40,10 +40,6 @@ class GPUSpec:
     launch_overhead_s: float = 7e-6
 
     @property
-    def cores_per_sm(self) -> int:
-        return self.cuda_cores // self.sm_count
-
-    @property
     def max_warps_per_sm(self) -> int:
         return self.max_threads_per_sm // self.warp_size
 

@@ -129,10 +129,6 @@ class SimMPI:
     def pending_messages(self) -> int:
         return sum(len(q) for q in self._mailbox.values())
 
-    def delayed_messages(self) -> int:
-        """Messages held back by an injected ``mpi-delay`` fault."""
-        return len(self._delayed)
-
     def flush(self) -> int:
         """Drop every buffered and delayed message — the recovery layer's
         world reset before retrying a failed exchange (ghost slabs are

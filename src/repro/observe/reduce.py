@@ -27,6 +27,7 @@ trace's own clock domain (simulated seconds for device traces).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -88,13 +89,12 @@ def intersect_intervals(
     return out
 
 
-def _percentile(sorted_values: list[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending list (q in [0, 1])."""
-    if not sorted_values:
+def percentile(ordered: list[float], q: float) -> float:
+    """Nearest-rank percentile of an ascending list (q in [0, 1]): the
+    value at rank ``ceil(q * n)`` (deterministic, interpolation-free)."""
+    if not ordered:
         return 0.0
-    idx = max(0, min(len(sorted_values) - 1,
-                     int(round(q * len(sorted_values) + 0.5)) - 1))
-    return sorted_values[idx]
+    return float(ordered[max(1, math.ceil(q * len(ordered))) - 1])
 
 
 # ----------------------------------------------------------------------
@@ -463,7 +463,7 @@ def reduce_trace(
             count=len(durs),
             total_s=sum(durs),
             mean_s=sum(durs) / len(durs),
-            p95_s=_percentile(durs, 0.95),
+            p95_s=percentile(durs, 0.95),
             max_s=durs[-1],
         )
 
@@ -522,6 +522,7 @@ __all__ = [
     "merge_intervals",
     "interval_measure",
     "intersect_intervals",
+    "percentile",
     "rank_of_event",
     "RankReduction",
     "KernelAggregate",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.utils.errors import ConfigurationError
 
@@ -224,9 +224,6 @@ class FaultPlan:
 
     def __bool__(self) -> bool:
         return bool(self.specs)
-
-    def with_specs(self, *specs: FaultSpec) -> "FaultPlan":
-        return replace(self, specs=self.specs + tuple(specs))
 
     def spec_string(self) -> str:
         return ",".join(s.spec_string() for s in self.specs)

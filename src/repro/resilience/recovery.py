@@ -14,11 +14,17 @@ Three mechanisms, applied in escalation order (the degradation ladder):
    wavefield + C-PML + image state on the
    :func:`~repro.core.checkpointing.plan_checkpoints` schedule and restores
    it bit-for-bit, so the replay reproduces the fault-free run exactly.
-3. **Graceful degradation** — permanent capacity loss. A mid-run device OOM
-   re-plans residency via :func:`~repro.core.offload_plan.plan_offload`
-   (the Figure-4 swap / smaller resident set) and rebuilds the card's data;
-   a dead rank re-decomposes the domain onto the surviving cards.
+   A residency build (allocate / swap) that escalates is rebuilt
+   straight to its target phase instead: the host state is intact.
+3. **Graceful degradation** — capacity loss. A mid-run device OOM asks
+   :func:`~repro.core.offload_plan.plan_offload` which strategy the card
+   can afford and records it, then drops and rebuilds the *same*
+   residency; the retry succeeds because the modelled repair resolves the
+   injected OOM. A dead rank re-decomposes the domain onto the surviving
+   cards.
 
+The ladder lives once, on ``_Guard``; the two drivers supply only how
+their state and residency are put back.
 :class:`ResilientPipeline` wraps the single-card executed drivers
 (:func:`~repro.core.modeling.run_modeling` /
 :func:`~repro.core.rtm.run_rtm` semantics, physics bit-identical) by
@@ -111,10 +117,8 @@ class CheckpointStore:
 
     Checkpoints are taken at loop-iteration boundaries: index ``0`` (the
     pristine state) plus every ``period``-th boundary the plan's budget
-    keeps. The observable wavefield payload lives in a
-    :class:`~repro.core.snapshots.SnapshotStore`; the full state dict
-    (propagator fields, C-PML memory, accumulated image/illumination)
-    rides alongside under the same key.
+    keeps. Each is one state dict (propagator fields, C-PML memory,
+    accumulated image/illumination), stored once under its step.
     """
 
     def __init__(self, nt: int, period: int, budget: int | None = None):
@@ -133,7 +137,6 @@ class CheckpointStore:
                 if (k + 1) * self.period < nt
             }
         self._steps = steps
-        self.wavefields = SnapshotStore(self.period)
         self._states: dict[int, dict] = {}
         self.saves = 0
 
@@ -141,8 +144,7 @@ class CheckpointStore:
         """Whether a checkpoint is due at the top of iteration ``step``."""
         return step in self._steps
 
-    def save(self, step: int, observable: np.ndarray, state: dict) -> None:
-        self.wavefields.save(step, observable)
+    def save(self, step: int, state: dict) -> None:
         self._states[step] = state
         self.saves += 1
 
@@ -158,13 +160,6 @@ class CheckpointStore:
 
     def load(self, step: int) -> dict:
         return self._states[step]
-
-    def nbytes(self) -> int:
-        aux = sum(
-            sum(a.nbytes for a in st.get("fields", {}).values())
-            for st in self._states.values()
-        )
-        return self.wavefields.nbytes() + aux
 
 
 @dataclass
@@ -220,7 +215,11 @@ class _RestartNeeded(ReproError):
 
 
 class _Guard:
-    """Shared op-level retry/degrade machinery."""
+    """The recovery ladder both drivers share: op-level retry, the OOM
+    degrade, and the two restart rungs (:meth:`restart` from a checkpoint,
+    :meth:`rebuild` of a residency build). A driver supplies only what is
+    its own: ``reside(phase)``, which tears its cards' residency down and
+    rebuilds it for ``phase``, and how to put a checkpoint's state back."""
 
     def __init__(
         self,
@@ -230,6 +229,8 @@ class _Guard:
         tracer,
         clock,
         mode: str,
+        max_restarts: int,
+        reside,
     ):
         self.injector = injector
         self.backoff = backoff
@@ -237,6 +238,8 @@ class _Guard:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.clock = clock
         self.mode = mode
+        self.max_restarts = max_restarts
+        self.reside = reside
         self._rng = backoff.rng()
 
     def _wait(self, attempt: int) -> None:
@@ -287,9 +290,10 @@ class _Guard:
     def degrade_oom(
         self, label: str, exc: Exception, pipeline: OffloadPipeline, phase: str
     ) -> None:
-        """The OOM rung: drop residency, consult the offload planner for
-        the strategy this card *can* afford, rebuild, and let the caller
-        retry the op."""
+        """The OOM rung: record the strategy the offload planner says this
+        card can afford, drop and rebuild the same residency (the
+        modelled repair resolves the OOM), and let the caller retry the
+        op."""
         plan = plan_offload(
             pipeline.physics,
             pipeline.shape,
@@ -308,6 +312,55 @@ class _Guard:
         action = f"re-plan:{plan.strategy}"
         self.stats.degraded.append(action)
         self.stats.note(f"degrade {label}: {action} ({exc})", kind="degrade")
+
+    def _restart_rung(self, exc: _RestartNeeded, note: str, repair,
+                      **span_args) -> None:
+        """One restart: reset the link (the modelled link/card reset clears
+        a permanent PCIe fault latched before the escalation), run
+        ``repair`` and charge its simulated time as recovery cost.
+        Re-raises the original fault once the restart budget is spent
+        (unrecoverable)."""
+        if self.stats.restarts >= self.max_restarts:
+            raise exc.cause
+        self.stats.restarts += 1
+        with self._span("restart", **span_args, error=str(exc.cause)):
+            t0 = self.clock.now
+            self.injector.resolve(PCIE_PERMANENT)
+            repair()
+            self.stats.recovery_cost_s += self.clock.now - t0
+        self.stats.note(f"{note} after {type(exc.cause).__name__}",
+                        kind="restart")
+
+    def restart(self, exc: _RestartNeeded, ckpt: CheckpointStore, loop: str,
+                at: int, restore) -> int:
+        """Restore the most recent checkpoint of ``loop`` at or before
+        iteration ``at`` (``restore(state)`` puts its host state back) and
+        rebuild the loop's residency. Returns the iteration to resume
+        from."""
+        step = ckpt.latest(at)
+
+        def repair() -> None:
+            restore(ckpt.load(step))
+            self.reside(loop)
+
+        self._restart_rung(
+            exc, f"restart from checkpoint {step}", repair,
+            from_step=at, to_step=step, phase=loop,
+        )
+        return step
+
+    def rebuild(self, build, phase: str, label: str, note: str) -> None:
+        """Run the residency-building ``build`` (allocate / swap) with its
+        restart rung: the host state is intact, so no checkpoint is
+        involved — on escalation tear down and rebuild straight to
+        ``phase``. ``label`` is the span's phase argument, ``note`` the
+        action text's head."""
+        try:
+            build()
+        except _RestartNeeded as exc:
+            self._restart_rung(
+                exc, note, lambda: self.reside(phase), phase=label,
+            )
 
 
 class ResilientPipeline:
@@ -381,83 +434,20 @@ class ResilientPipeline:
         rt = _build_runtime(self.options, self.platform, self.tracer)
         rt.attach_injector(self.injector)
         pipeline = shot.pipeline = shot.offload(rt, self.options)
+
+        def reside(phase: str) -> None:
+            pipeline.drop_residency()
+            pipeline.restore_residency(phase)
+
         guard = _Guard(
             self.injector, self.backoff, self.stats,
             pipeline.tracer, rt.device.clock,
             "rtm" if isinstance(self.config, RTMConfig) else "modeling",
+            self.max_restarts, reside,
         )
         shot.device = self._device(guard, pipeline)
         self._walk(shot, guard, pipeline)
         return shot.result(pipeline.gpu_times(), resilience=self.stats)
-
-    def _restart(self, exc, guard, ckpt, pipeline, phase, at_step, restore):
-        """Restore the most recent checkpoint; returns the loop iteration
-        to resume from. Raises the original fault when the restart budget
-        is spent (unrecoverable)."""
-        if self.stats.restarts >= self.max_restarts:
-            raise exc.cause
-        self.stats.restarts += 1
-        step = ckpt.latest(at_step)
-        with guard._span(
-            "restart", from_step=at_step, to_step=step, phase=phase,
-            error=str(exc.cause),
-        ):
-            t0 = guard.clock.now
-            pipeline.drop_residency()
-            # restart-level repair: the modelled link/card reset clears any
-            # latched permanent PCIe fault
-            self.injector.resolve(PCIE_PERMANENT)
-            restore(ckpt.load(step))
-            pipeline.restore_residency(phase)
-            self.stats.recovery_cost_s += guard.clock.now - t0
-        self.stats.note(
-            f"restart from checkpoint {step} after {type(exc.cause).__name__}",
-            kind="restart",
-        )
-        return step
-
-    def _rebuild(self, guard, pipeline, label: str, exc, phase: str) -> None:
-        """The restart rung of a residency-building op (allocate / swap):
-        the host state is intact, so no checkpoint is involved — tear
-        down, reset the link (a permanent PCIe fault latched during the
-        copyin), rebuild straight to ``phase``."""
-        if self.stats.restarts >= self.max_restarts:
-            raise exc.cause
-        self.stats.restarts += 1
-        with guard._span("restart", phase=label, error=str(exc.cause)):
-            t0 = guard.clock.now
-            pipeline.drop_residency()
-            self.injector.resolve(PCIE_PERMANENT)
-            pipeline.restore_residency(phase)
-            self.stats.recovery_cost_s += guard.clock.now - t0
-        self.stats.note(
-            f"{label} restarted after {type(exc.cause).__name__}", kind="restart",
-        )
-
-    def _initial_allocate(self, guard, pipeline) -> None:
-        """Guarded first residency build."""
-        try:
-            guard.run(
-                "allocate_forward", pipeline.allocate_forward, pipeline,
-                "idle", reset=pipeline.drop_residency,
-            )
-        except _RestartNeeded as exc:
-            self._rebuild(guard, pipeline, "allocate", exc, "forward")
-
-    def _swap(self, guard, pipeline) -> None:
-        def do_swap():
-            # a retry after a teardown re-enters from idle: rebuild the
-            # forward residency, then swap — same end state as one swap
-            if pipeline.phase == "idle":
-                pipeline.restore_residency("backward")
-            else:
-                pipeline.swap_to_backward()
-
-        try:
-            guard.run("swap_to_backward", do_swap, pipeline, "forward",
-                      reset=pipeline.drop_residency)
-        except _RestartNeeded as exc:
-            self._rebuild(guard, pipeline, "swap", exc, "backward")
 
     def _finalize(self, guard, pipeline, phase, with_image: bool):
         try:
@@ -472,14 +462,21 @@ class ResilientPipeline:
 
     def _device(self, guard, pipeline):
         """The visitors' ``device`` hook: every pipeline call goes through
-        the recovery ladder; the residency-building ones get their
-        restart rungs."""
+        the recovery ladder; the residency builds get the rebuild rung."""
+        #: residency builds: method -> (op, phase it builds, rung label)
+        builds = {
+            "allocate_forward": (pipeline.allocate_forward, "forward", "allocate"),
+            "swap_to_backward": (lambda: _swap(pipeline), "backward", "swap"),
+        }
 
         def device(method: str, phase: str, **kwargs) -> None:
-            if method == "allocate_forward":
-                self._initial_allocate(guard, pipeline)
-            elif method == "swap_to_backward":
-                self._swap(guard, pipeline)
+            if method in builds:
+                op, target, label = builds[method]
+                guard.rebuild(
+                    lambda: guard.run(method, op, pipeline, phase,
+                                      reset=pipeline.drop_residency),
+                    target, label, f"{label} restarted",
+                )
             elif method == "finalize":
                 self._finalize(guard, pipeline, phase, kwargs["with_image"])
             else:
@@ -515,7 +512,7 @@ class ResilientPipeline:
         def begin(loop: str, it: int) -> None:
             if ckpts[loop].is_checkpoint_step(it):
                 prop, arrays = state(loop)
-                ckpts[loop].save(it, prop.snapshot_field(), {
+                ckpts[loop].save(it, {
                     "prop": prop.capture_state(),
                     **{k: a.copy() for k, a in arrays.items()},
                 })
@@ -528,7 +525,7 @@ class ResilientPipeline:
                 for k, a in arrays.items():
                     a[...] = saved[k]
 
-            return self._restart(exc, guard, ckpts[loop], pipeline, loop, it, restore)
+            return guard.restart(exc, ckpts[loop], loop, it, restore)
 
         _walk_checkpointed(
             figure4(shot.mode, config.nt, shot.snap_period),
@@ -543,6 +540,16 @@ class ResilientPipeline:
         if not isinstance(self.config, RTMConfig):
             raise ConfigurationError("run_rtm needs an RTMConfig")
         return self._run(RtmVisitor(self.config))
+
+
+def _swap(pipeline: OffloadPipeline) -> None:
+    """The guarded swap. A retry after a teardown re-enters from idle:
+    rebuild the forward residency, then swap — same end state as one
+    swap."""
+    if pipeline.phase == "idle":
+        pipeline.restore_residency("backward")
+    else:
+        pipeline.swap_to_backward()
 
 
 def _walk_checkpointed(events, visit, begin, restart) -> None:
@@ -678,7 +685,8 @@ class ResilientMultiGpu:
         clock = self.mgp.ranks[0].pipe.rt.device.clock
         tracer = self.tracer if self.tracer is not None else NULL_TRACER
         return _Guard(
-            self.injector, self.backoff, self.stats, tracer, clock, "modeling"
+            self.injector, self.backoff, self.stats, tracer, clock, "modeling",
+            self.max_restarts, self._reside,
         )
 
     # ------------------------------------------------------------------
@@ -736,57 +744,20 @@ class ResilientMultiGpu:
                     kind="retry",
                 )
 
-    def _restore_residency(self, phase: str) -> None:
+    def _reside(self, phase: str) -> None:
         for rc in self.mgp.ranks:
             rc.pipe.drop_residency()
         for rc in self.mgp.ranks:
             rc.pipe.restore_residency(phase)
 
-    def _restart(self, exc, guard, ckpt, phase: str, at: int) -> int:
-        if self.stats.restarts >= self.max_restarts:
-            raise exc.cause
-        self.stats.restarts += 1
-        step = ckpt.latest(at)
-        with guard._span(
-            "restart", from_step=at, to_step=step, phase=phase,
-            error=str(exc.cause),
-        ):
-            t0 = guard.clock.now
-            state = ckpt.load(step)
-            self.global_field[...] = state["global"]
-            if self.image is not None and "image" in state:
-                self.image[...] = state["image"]
-            self.injector.resolve(PCIE_PERMANENT)
-            self.mgp.mpi.flush()
-            self._scatter()
-            self._restore_residency(phase)
-            self.stats.recovery_cost_s += guard.clock.now - t0
-        self.stats.note(
-            f"restart from checkpoint {step} after {type(exc.cause).__name__}",
-            kind="restart",
-        )
-        return step
-
-    def _structural(self, guard: "_Guard", phase: str, body) -> None:
-        """Run a residency-building sweep (allocate / swap) with the
-        allocate-level restart rung: no checkpoint is involved because the
-        host state is intact — tear everything down, reset the link, and
-        rebuild straight to ``phase``."""
-        try:
-            body()
-        except _RestartNeeded as exc:
-            if self.stats.restarts >= self.max_restarts:
-                raise exc.cause
-            self.stats.restarts += 1
-            with guard._span("restart", phase=phase, error=str(exc.cause)):
-                t0 = guard.clock.now
-                self.injector.resolve(PCIE_PERMANENT)
-                self._restore_residency(phase)
-                self.stats.recovery_cost_s += guard.clock.now - t0
-            self.stats.note(
-                f"{phase} residency restarted after {type(exc.cause).__name__}",
-                kind="restart",
-            )
+    def _restore(self, state: dict) -> None:
+        """Put a checkpoint's global state back on every rank's host slab
+        (in-flight messages belong to the abandoned timeline)."""
+        self.global_field[...] = state["global"]
+        if self.image is not None and "image" in state:
+            self.image[...] = state["image"]
+        self.mgp.mpi.flush()
+        self._scatter()
 
     def _redecompose(self, exc: DeviceLostError, phase: str) -> None:
         """The dead-rank rung: the card is gone but every host slab is
@@ -830,10 +801,10 @@ class ResilientMultiGpu:
                 state = {"global": self.global_field.copy()}
                 if loop == "backward":
                     state["image"] = self.image.copy()
-                ckpts[loop].save(it, self.global_field, state)
+                ckpts[loop].save(it, state)
 
         def restart(exc, loop: str, it: int) -> int:
-            return self._restart(exc, guard, ckpts[loop], loop, it)
+            return guard.restart(exc, ckpts[loop], loop, it, self._restore)
 
         def on_ranks(label: str, phase: str, op, reset: bool = False) -> None:
             for rc in self.mgp.ranks:
@@ -841,6 +812,13 @@ class ResilientMultiGpu:
                     label, lambda p=rc.pipe: op(p), rc.pipe, phase,
                     reset=rc.pipe.drop_residency if reset else None,
                 )
+
+        def build(label: str, start: str, phase: str, op) -> None:
+            """A residency-building sweep from ``start`` to ``phase``."""
+            guard.rebuild(
+                lambda: on_ranks(label, start, op, reset=True),
+                phase, phase, f"{phase} residency restarted",
+            )
 
         def sweep(method: str, phase: str, exchanged: str) -> None:
             """One host step, one device step per card, one ghost swap."""
@@ -860,15 +838,7 @@ class ResilientMultiGpu:
 
         def swap(_) -> None:
             self._gather()
-            self._structural(guard, "backward", lambda: on_ranks(
-                "swap_to_backward", "forward",
-                lambda p: (
-                    p.restore_residency("backward")
-                    if p.phase == "idle"
-                    else p.swap_to_backward()
-                ),
-                reset=True,
-            ))
+            build("swap_to_backward", "forward", "backward", _swap)
             self.image = np.zeros(self.shape, dtype=np.float32)
             # deterministic backward seed: the time-reverse starts from the
             # final forward state, halved
@@ -892,10 +862,10 @@ class ResilientMultiGpu:
                 )
 
         _walk_checkpointed(figure4(mode, nt, snap_period), {
-            "allocate": lambda _: self._structural(guard, "forward", lambda: on_ranks(
-                "allocate_forward", "idle", lambda p: p.allocate_forward(),
-                reset=True,
-            )),
+            "allocate": lambda _: build(
+                "allocate_forward", "idle", "forward",
+                lambda p: p.allocate_forward(),
+            ),
             "forward": lambda _: sweep("forward_step", "forward", self.mgp.primary),
             "snapshot": snapshot,
             "swap": swap,

@@ -72,7 +72,6 @@ class _RankRecorder:
         self._session = session
         self._rank = rank
         self.program = session.programs[rank]
-        self._label: str | None = None
 
     def bind_runtime(self, rt) -> None:
         spec = rt.device.spec
@@ -86,12 +85,9 @@ class _RankRecorder:
         )
         self._session.runtimes[self._rank] = rt
 
-    def set_label(self, label: str | None) -> None:
-        self._label = label
-
     def record(self, kind: str, sizes=None, **fields) -> None:
         event = self.program.add(AccEvent(
-            kind=kind, index=len(self.program), label=self._label, **fields
+            kind=kind, index=len(self.program), **fields
         ), sizes=sizes)
         self._session.observe(self._rank, event)
 

@@ -9,6 +9,7 @@ from repro.observe.reduce import (
     interval_measure,
     intersect_intervals,
     merge_intervals,
+    percentile,
     rank_of_event,
     reduce_trace,
 )
@@ -33,6 +34,26 @@ class TestIntervalAlgebra:
         a = [(0.0, 4.0), (6.0, 8.0)]
         b = [(2.0, 7.0)]
         assert intersect_intervals(a, b) == [(2.0, 4.0), (6.0, 7.0)]
+
+
+class TestPercentile:
+    """Nearest rank: the value at rank ceil(q * n), 1-based."""
+
+    def test_ten_values(self):
+        values = [float(v) for v in range(1, 11)]
+        assert percentile(values, 0.50) == 5.0
+        assert percentile(values, 0.90) == 9.0
+        assert percentile(values, 0.95) == 10.0
+        assert percentile(values, 0.0) == 1.0
+        assert percentile(values, 1.0) == 10.0
+
+    def test_twenty_values_p95_is_not_the_max(self):
+        values = [float(v) for v in range(1, 21)]
+        assert percentile(values, 0.50) == 10.0
+        assert percentile(values, 0.95) == 19.0
+
+    def test_empty(self):
+        assert percentile([], 0.95) == 0.0
 
 
 class TestRankOfEvent:

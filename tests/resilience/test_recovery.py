@@ -71,12 +71,11 @@ class TestCheckpointStore:
     def test_save_latest_load(self):
         ckpt = CheckpointStore(nt=16, period=4)
         for step in (0, 4, 8):
-            ckpt.save(step, np.full(SHAPE, step, np.float32), {"step": step})
+            ckpt.save(step, {"step": step})
         assert ckpt.latest(11) == 8
         assert ckpt.latest(7) == 4
         assert ckpt.load(ckpt.latest(2))["step"] == 0
         assert ckpt.saves == 3
-        assert ckpt.nbytes() > 0
 
 
 class TestCleanPathTransparency:
