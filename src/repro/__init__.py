@@ -33,40 +33,15 @@ Quickstart::
                                       interfaces=[1500.0], velocities=[1500., 2500.])
     result = repro.core.run_modeling(repro.core.ModelingConfig(
         physics="acoustic", model=model, nt=500))
-    print(result.snapshots[-1].shape)
+    print(result.snapshots.frames()[-1].shape)
 """
 
-from repro.version import __version__
+from repro.utils.lazy import lazy_exports
 
-from repro import acc
-from repro import bench
-from repro import boundary
-from repro import core
-from repro import gpusim
-from repro import grid
-from repro import model
-from repro import mpisim
-from repro import optim
-from repro import propagators
-from repro import source
-from repro import stencil
-from repro import trace
-from repro import utils
-
-__all__ = [
-    "__version__",
-    "acc",
-    "bench",
-    "boundary",
-    "core",
-    "gpusim",
-    "grid",
-    "model",
-    "mpisim",
-    "optim",
-    "propagators",
-    "source",
-    "stencil",
-    "trace",
-    "utils",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "version": ("__version__",),
+    "": (
+        "acc", "bench", "boundary", "core", "gpusim", "grid", "model", "mpisim", "optim",
+        "propagators", "source", "stencil", "trace", "utils",
+    ),
+})

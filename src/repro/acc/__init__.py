@@ -20,33 +20,12 @@ the modelled device time — numerics are bit-identical to the host path while
 timing follows :mod:`repro.gpusim`.
 """
 
-from repro.acc.clauses import LoopSchedule, CompileFlags, IneffectiveDirectiveWarning
-from repro.acc.minfo import minfo
-from repro.acc.compiler import (
-    CompilerPersona,
-    PGI_13_7,
-    PGI_14_3,
-    PGI_14_6,
-    CRAY_8_2_6,
-    COMPILERS,
-)
-from repro.acc.parser import Directive, parse_directive, apply_directive
-from repro.acc.runtime import Runtime, PresentEntry
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "LoopSchedule",
-    "CompileFlags",
-    "IneffectiveDirectiveWarning",
-    "minfo",
-    "CompilerPersona",
-    "PGI_13_7",
-    "PGI_14_3",
-    "PGI_14_6",
-    "CRAY_8_2_6",
-    "COMPILERS",
-    "Directive",
-    "parse_directive",
-    "apply_directive",
-    "Runtime",
-    "PresentEntry",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "clauses": ("LoopSchedule", "CompileFlags", "IneffectiveDirectiveWarning"),
+    "minfo": ("minfo",),
+    "compiler": ("CompilerPersona", "PGI_13_7", "PGI_14_3", "PGI_14_6", "CRAY_8_2_6", "COMPILERS"),
+    "parser": ("Directive", "parse_directive", "apply_directive"),
+    "runtime": ("Runtime", "PresentEntry"),
+})

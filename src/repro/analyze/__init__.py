@@ -32,71 +32,25 @@ This package detects them *before* a run:
   runs the dataflow engine's proofs before the real run starts).
 """
 
-from repro.analyze.async_race import AsyncRacePass
-from repro.analyze.dataflow import (
-    DataflowCoherencePass,
-    DependenceGraph,
-    OptimizationOpportunity,
-    check_ranks,
-    find_opportunities,
-    interpret_program,
-)
-from repro.analyze.drivers import (
-    check_schedule,
-    lint_pipeline,
-    record_pipeline_program,
-)
-from repro.analyze.framework import (
-    Diagnostic,
-    LintPass,
-    LintResult,
-    Severity,
-    deep_passes,
-    default_passes,
-    lint_program,
-    parse_severity,
-    run_passes,
-)
-from repro.analyze.rules import REGISTRY, rule
-from repro.analyze.frontend import program_from_script
-from repro.analyze.present_lifetime import PresentLifetimePass
-from repro.analyze.program import AccEvent, DirectiveProgram, ProgramMeta
-from repro.analyze.recorder import ProgramRecorder
-from repro.analyze.report import format_json, format_text, to_json_dict
-from repro.analyze.schedule_lint import ScheduleLintPass
-from repro.analyze.transfer import TransferEfficiencyPass
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "AccEvent",
-    "DirectiveProgram",
-    "ProgramMeta",
-    "ProgramRecorder",
-    "program_from_script",
-    "Diagnostic",
-    "Severity",
-    "parse_severity",
-    "LintPass",
-    "LintResult",
-    "default_passes",
-    "deep_passes",
-    "run_passes",
-    "lint_program",
-    "REGISTRY",
-    "rule",
-    "DataflowCoherencePass",
-    "DependenceGraph",
-    "OptimizationOpportunity",
-    "check_ranks",
-    "find_opportunities",
-    "interpret_program",
-    "PresentLifetimePass",
-    "AsyncRacePass",
-    "ScheduleLintPass",
-    "TransferEfficiencyPass",
-    "format_text",
-    "format_json",
-    "to_json_dict",
-    "record_pipeline_program",
-    "lint_pipeline",
-    "check_schedule",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "async_race": ("AsyncRacePass",),
+    "dataflow": (
+        "DataflowCoherencePass", "DependenceGraph", "OptimizationOpportunity", "check_ranks",
+        "find_opportunities", "interpret_program",
+    ),
+    "drivers": ("check_schedule", "lint_pipeline", "record_pipeline_program"),
+    "framework": (
+        "Diagnostic", "LintPass", "LintResult", "Severity", "deep_passes", "default_passes",
+        "lint_program", "parse_severity", "run_passes",
+    ),
+    "rules": ("REGISTRY", "rule"),
+    "frontend": ("program_from_script",),
+    "present_lifetime": ("PresentLifetimePass",),
+    "program": ("AccEvent", "DirectiveProgram", "ProgramMeta"),
+    "recorder": ("ProgramRecorder",),
+    "report": ("format_json", "format_text", "to_json_dict"),
+    "schedule_lint": ("ScheduleLintPass",),
+    "transfer": ("TransferEfficiencyPass",),
+})

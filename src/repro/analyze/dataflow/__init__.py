@@ -28,52 +28,16 @@ artifact (``--opportunities``) consumed — hash-gated — by the
 fused-kernel compiler, :mod:`repro.compile`.
 """
 
-from repro.analyze.dataflow.absint import (
-    CoherenceSummary,
-    interpret_program,
-)
-from repro.analyze.dataflow.crossrank import (
-    CrossRankResult,
-    check_ranks,
-    match_messages,
-)
-from repro.analyze.dataflow.graph import (
-    DepEdge,
-    DependenceGraph,
-    LoopRegion,
-    detect_loops,
-)
-from repro.analyze.dataflow.opportunities import (
-    OPPORTUNITY_SCHEMA,
-    OpportunityReport,
-    OptimizationOpportunity,
-    apply_opportunity,
-    find_opportunities,
-    replay_fingerprint,
-    reports_to_json,
-    validate_opportunities,
-    verify_opportunity,
-)
-from repro.analyze.dataflow.passes import DataflowCoherencePass
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "DependenceGraph",
-    "DepEdge",
-    "LoopRegion",
-    "detect_loops",
-    "CoherenceSummary",
-    "interpret_program",
-    "CrossRankResult",
-    "check_ranks",
-    "match_messages",
-    "OptimizationOpportunity",
-    "OpportunityReport",
-    "OPPORTUNITY_SCHEMA",
-    "find_opportunities",
-    "apply_opportunity",
-    "verify_opportunity",
-    "replay_fingerprint",
-    "reports_to_json",
-    "validate_opportunities",
-    "DataflowCoherencePass",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "absint": ("CoherenceSummary", "interpret_program"),
+    "crossrank": ("CrossRankResult", "check_ranks", "match_messages"),
+    "graph": ("DepEdge", "DependenceGraph", "LoopRegion", "detect_loops"),
+    "opportunities": (
+        "OPPORTUNITY_SCHEMA", "OpportunityReport", "OptimizationOpportunity", "apply_opportunity",
+        "find_opportunities", "replay_fingerprint", "reports_to_json", "validate_opportunities",
+        "verify_opportunity",
+    ),
+    "passes": ("DataflowCoherencePass",),
+})

@@ -10,38 +10,13 @@
   side-by-side comparison in EXPERIMENTS.md.
 """
 
-from repro.bench.workloads import CaseSpec, modeling_case, ALL_CASES
-from repro.bench.table3 import table3_rows, format_table3
-from repro.bench.table4 import table4_rows, format_table4
-from repro.bench.report import (
-    Cell,
-    Row,
-    format_gpu_times,
-    format_speedup_table,
-)
-from repro.bench.sweeps import (
-    SweepPoint,
-    grid_size_sweep,
-    achieved_bandwidth_sweep,
-)
-from repro.bench import figures
-from repro.bench import paper_data
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "CaseSpec",
-    "modeling_case",
-    "ALL_CASES",
-    "table3_rows",
-    "format_table3",
-    "table4_rows",
-    "format_table4",
-    "Cell",
-    "Row",
-    "format_gpu_times",
-    "format_speedup_table",
-    "SweepPoint",
-    "grid_size_sweep",
-    "achieved_bandwidth_sweep",
-    "figures",
-    "paper_data",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "workloads": ("CaseSpec", "modeling_case", "ALL_CASES"),
+    "table3": ("table3_rows", "format_table3"),
+    "table4": ("table4_rows", "format_table4"),
+    "report": ("Cell", "Row", "format_gpu_times", "format_speedup_table"),
+    "sweeps": ("SweepPoint", "grid_size_sweep", "achieved_bandwidth_sweep"),
+    "": ("figures", "paper_data"),
+})

@@ -6,13 +6,10 @@ acoustic variable-density and elastic media ("storing four different
 one-dimensional arrays with the cpml-coefficients for each dimension").
 """
 
-from repro.boundary.profiles import damping_profile, pml_sigma_max
-from repro.boundary.pml import StandardPML
-from repro.boundary.cpml import CPML
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "damping_profile",
-    "pml_sigma_max",
-    "StandardPML",
-    "CPML",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "profiles": ("damping_profile", "pml_sigma_max"),
+    "pml": ("StandardPML",),
+    "cpml": ("CPML",),
+})

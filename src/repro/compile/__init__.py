@@ -32,56 +32,17 @@ execute-mode drivers) and :class:`~repro.core.multigpu.MultiGpuPipeline`
 ``BENCH_step.json`` (:mod:`repro.compile.bench`).
 """
 
-from repro.compile.bench import measure_case
-from repro.compile.compiler import (
-    AppliedOpportunity,
-    BoundPipeline,
-    CompiledPipeline,
-    CompileRequest,
-    SegmentedRecording,
-    SelectedOpportunity,
-    SelectionResult,
-    apply_to_template,
-    compile_case,
-    opportunities_from_artifact,
-    record_segments,
-    select_opportunities,
-)
-from repro.compile.lower import (
-    BoundStep,
-    LoweredOp,
-    WorkloadRegistry,
-    bind_ops,
-    lower_events,
-)
-from repro.compile.runner import (
-    clear_cache,
-    compiled_for_pipeline,
-    compiled_steps_for_rank,
-    run_pipeline_compiled,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "AppliedOpportunity",
-    "BoundPipeline",
-    "BoundStep",
-    "CompiledPipeline",
-    "CompileRequest",
-    "LoweredOp",
-    "SegmentedRecording",
-    "SelectedOpportunity",
-    "SelectionResult",
-    "WorkloadRegistry",
-    "apply_to_template",
-    "bind_ops",
-    "clear_cache",
-    "compile_case",
-    "compiled_for_pipeline",
-    "compiled_steps_for_rank",
-    "lower_events",
-    "measure_case",
-    "opportunities_from_artifact",
-    "record_segments",
-    "run_pipeline_compiled",
-    "select_opportunities",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "bench": ("measure_case",),
+    "compiler": (
+        "AppliedOpportunity", "BoundPipeline", "CompiledPipeline", "CompileRequest",
+        "SegmentedRecording", "SelectedOpportunity", "SelectionResult", "apply_to_template",
+        "compile_case", "opportunities_from_artifact", "record_segments", "select_opportunities",
+    ),
+    "lower": ("BoundStep", "LoweredOp", "WorkloadRegistry", "bind_ops", "lower_events"),
+    "runner": (
+        "clear_cache", "compiled_for_pipeline", "compiled_steps_for_rank", "run_pipeline_compiled",
+    ),
+})

@@ -60,13 +60,15 @@ from repro.compile.lower import (
 from repro.core.config import GpuTimes, GPUOptions
 from repro.core.pipeline import device_times, offload_visitor, walk_offload
 from repro.core.schedule import PHASES, REPEATED_PHASES, figure4, walk
+from repro.gpusim.specs import CUDA_5_0
+from repro.optim.autotune import TuningPlan, options_with_plan
+from repro.optim.tuning import fused_launch_estimate
 from repro.utils.errors import CompileError, StaleArtifactError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.acc.runtime import Runtime
     from repro.core.pipeline import OffloadPipeline
     from repro.core.platform import Platform
-    from repro.optim.autotune import TuningPlan
 
 #: phases in schedule order; the repeated ones must be steady-state
 PHASE_ORDER = PHASES
@@ -847,8 +849,6 @@ def compile_case(
     any failure to prove equivalence; the returned object always has
     ``verified=True``.
     """
-    from repro.optim.autotune import options_with_plan
-
     if source_pipeline is not None:
         base = source_pipeline.options
     else:
@@ -970,9 +970,6 @@ def _applied_record(
         proof=opp.proof,
     )
     if opp.kind == "fuse-computes" and len(opp.kernels) >= 2:
-        from repro.gpusim.specs import CUDA_5_0
-        from repro.optim import fused_launch_estimate
-
         rt = recording.pipeline.rt
         try:
             parts = [registry.resolve(k) for k in opp.kernels]

@@ -9,78 +9,24 @@ modelled device timings; estimate drivers
 physics so the paper's full-size grids can be timed.
 """
 
-from repro.core.config import (
-    ModelingConfig,
-    RTMConfig,
-    GPUOptions,
-    ModelingResult,
-    RTMResult,
-    GpuTimes,
-)
-from repro.core.platform import Platform, PLATFORMS
-from repro.core.snapshots import SnapshotStore, default_snap_period
-from repro.core.imaging import (
-    cross_correlation_update,
-    normalize_image,
-    mute_shallow,
-)
-from repro.core.inventory import field_inventory, device_resident_bytes
-from repro.core.pipeline import OffloadPipeline
-from repro.core.modeling import run_modeling, estimate_modeling
-from repro.core.rtm import run_rtm, estimate_rtm
-from repro.core.multigpu import (
-    MultiGpuTimes,
-    estimate_multi_gpu_modeling,
-    scaling_study,
-)
-from repro.core.survey import SurveyResult, run_survey, shot_line
-from repro.core.offload_plan import OffloadPlan, plan_offload
-from repro.core.checkpointing import (
-    CheckpointPlan,
-    CheckpointedCost,
-    plan_checkpoints,
-    checkpointed_rtm_cost,
-)
-from repro.core.reference import (
-    cpu_modeling_time,
-    cpu_rtm_time,
-    ReferenceTimes,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "ModelingConfig",
-    "RTMConfig",
-    "GPUOptions",
-    "ModelingResult",
-    "RTMResult",
-    "GpuTimes",
-    "Platform",
-    "PLATFORMS",
-    "SnapshotStore",
-    "default_snap_period",
-    "cross_correlation_update",
-    "normalize_image",
-    "mute_shallow",
-    "field_inventory",
-    "device_resident_bytes",
-    "OffloadPipeline",
-    "run_modeling",
-    "estimate_modeling",
-    "run_rtm",
-    "estimate_rtm",
-    "SurveyResult",
-    "OffloadPlan",
-    "plan_offload",
-    "CheckpointPlan",
-    "CheckpointedCost",
-    "plan_checkpoints",
-    "checkpointed_rtm_cost",
-    "run_survey",
-    "shot_line",
-    "MultiGpuTimes",
-    "estimate_multi_gpu_modeling",
-    "scaling_study",
-    "cpu_modeling_time",
-    "cpu_rtm_time",
-    "ReferenceTimes",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "config": (
+        "ModelingConfig", "RTMConfig", "GPUOptions", "ModelingResult", "RTMResult", "GpuTimes",
+    ),
+    "platform": ("Platform", "PLATFORMS"),
+    "snapshots": ("SnapshotStore", "default_snap_period"),
+    "imaging": ("cross_correlation_update", "normalize_image", "mute_shallow"),
+    "inventory": ("field_inventory", "device_resident_bytes"),
+    "pipeline": ("OffloadPipeline",),
+    "modeling": ("run_modeling", "estimate_modeling"),
+    "rtm": ("run_rtm", "estimate_rtm"),
+    "multigpu": ("MultiGpuTimes", "estimate_multi_gpu_modeling", "scaling_study"),
+    "survey": ("SurveyResult", "run_survey", "shot_line"),
+    "offload_plan": ("OffloadPlan", "plan_offload"),
+    "checkpointing": (
+        "CheckpointPlan", "CheckpointedCost", "plan_checkpoints", "checkpointed_rtm_cost",
+    ),
+    "reference": ("cpu_modeling_time", "cpu_rtm_time", "ReferenceTimes"),
+})

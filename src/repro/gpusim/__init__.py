@@ -17,49 +17,17 @@ captures exactly the mechanisms the paper's optimizations act through:
   paper's Figures 11, 14 and 15 (:mod:`repro.gpusim.profiler`).
 """
 
-from repro.gpusim.specs import (
-    GPUSpec,
-    M2090,
-    K40,
-    CudaToolkit,
-    CUDA_5_0,
-    CUDA_5_5,
-    GPU_CARDS,
-)
-from repro.gpusim.memory import DeviceMemory, Allocation
-from repro.gpusim.pcie import PCIeModel, TransferStats
-from repro.gpusim.occupancy import occupancy, OccupancyResult
-from repro.gpusim.kernelmodel import (
-    LaunchConfig,
-    KernelEstimate,
-    estimate_kernel_time,
-    estimate_register_demand,
-)
-from repro.gpusim.streams import StreamPool
-from repro.gpusim.profiler import Profiler, ProfileEvent, ProfileReport
-from repro.gpusim.device import Device
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "GPUSpec",
-    "M2090",
-    "K40",
-    "CudaToolkit",
-    "CUDA_5_0",
-    "CUDA_5_5",
-    "GPU_CARDS",
-    "DeviceMemory",
-    "Allocation",
-    "PCIeModel",
-    "TransferStats",
-    "occupancy",
-    "OccupancyResult",
-    "LaunchConfig",
-    "KernelEstimate",
-    "estimate_kernel_time",
-    "estimate_register_demand",
-    "StreamPool",
-    "Profiler",
-    "ProfileEvent",
-    "ProfileReport",
-    "Device",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "specs": ("GPUSpec", "M2090", "K40", "CudaToolkit", "CUDA_5_0", "CUDA_5_5", "GPU_CARDS"),
+    "memory": ("DeviceMemory", "Allocation"),
+    "pcie": ("PCIeModel", "TransferStats"),
+    "occupancy": ("occupancy", "OccupancyResult"),
+    "kernelmodel": (
+        "LaunchConfig", "KernelEstimate", "estimate_kernel_time", "estimate_register_demand",
+    ),
+    "streams": ("StreamPool",),
+    "profiler": ("Profiler", "ProfileEvent", "ProfileReport"),
+    "device": ("Device",),
+})

@@ -1,21 +1,9 @@
 """Regular grids, staggered-grid conventions and domain decomposition."""
 
-from repro.grid.grid import Grid
-from repro.grid.staggered import StaggerOffset, FULL, HALF
-from repro.grid.decomposition import (
-    CartesianDecomposition,
-    Subdomain,
-    HaloSpec,
-    best_dims,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "Grid",
-    "StaggerOffset",
-    "FULL",
-    "HALF",
-    "CartesianDecomposition",
-    "Subdomain",
-    "HaloSpec",
-    "best_dims",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "grid": ("Grid",),
+    "staggered": ("StaggerOffset", "FULL", "HALF"),
+    "decomposition": ("CartesianDecomposition", "Subdomain", "HaloSpec", "best_dims"),
+})

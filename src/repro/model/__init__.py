@@ -1,17 +1,8 @@
 """Earth (velocity/density) models and synthetic model builders."""
 
-from repro.model.earth_model import EarthModel
-from repro.model.builders import (
-    constant_model,
-    layered_model,
-    fault_model,
-    with_thomsen,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "EarthModel",
-    "constant_model",
-    "layered_model",
-    "fault_model",
-    "with_thomsen",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "earth_model": ("EarthModel",),
+    "builders": ("constant_model", "layered_model", "fault_model", "with_thomsen"),
+})

@@ -1,27 +1,12 @@
 """MPI-like substrate: in-process message passing, halo exchange, and the
 CPU-cluster cost model behind the paper's full-socket reference times."""
 
-from repro.mpisim.comm import SimMPI, RankComm, Request, MessageStats
-from repro.mpisim.halo import HaloExchanger
-from repro.mpisim.cluster import (
-    CPUSocketSpec,
-    ClusterSpec,
-    IBM_CLUSTER,
-    CRAY_XC30,
-    CLUSTERS,
-    ClusterCostModel,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "SimMPI",
-    "RankComm",
-    "Request",
-    "MessageStats",
-    "HaloExchanger",
-    "CPUSocketSpec",
-    "ClusterSpec",
-    "IBM_CLUSTER",
-    "CRAY_XC30",
-    "CLUSTERS",
-    "ClusterCostModel",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "comm": ("SimMPI", "RankComm", "Request", "MessageStats"),
+    "halo": ("HaloExchanger",),
+    "cluster": (
+        "CPUSocketSpec", "ClusterSpec", "IBM_CLUSTER", "CRAY_XC30", "CLUSTERS", "ClusterCostModel",
+    ),
+})

@@ -20,78 +20,24 @@
 See ``docs/observability.md``.
 """
 
-from repro.observe.ledger import (
-    DEFAULT_LEDGER_PATH,
-    LEDGER_SCHEMA,
-    LedgerRecord,
-    RunLedger,
-    append_run,
-    ledger_path_from_args,
-    plan_fingerprint,
-)
-from repro.observe.reduce import (
-    CriticalPath,
-    KernelAggregate,
-    QueueUtilization,
-    RankReduction,
-    TraceReduction,
-    reduce_trace,
-)
-from repro.observe.report import (
-    DEFAULT_THRESHOLD,
-    DEFAULT_WINDOW,
-    LedgerReport,
-    compare_metric,
-    diff_ledger,
-    run_report_command,
-)
-from repro.observe.runlog import RunLog, count, current_runlog, emit
-from repro.observe.scaling import (
-    DEFAULT_RANKS,
-    ScaleCaseResult,
-    ScalePoint,
-    assert_scaling_shape,
-    run_scale_case,
-    run_scale_command,
-    run_scale_point,
-    run_scale_sweep,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    # reduce
-    "TraceReduction",
-    "RankReduction",
-    "KernelAggregate",
-    "QueueUtilization",
-    "CriticalPath",
-    "reduce_trace",
-    # ledger
-    "LEDGER_SCHEMA",
-    "DEFAULT_LEDGER_PATH",
-    "LedgerRecord",
-    "RunLedger",
-    "append_run",
-    "ledger_path_from_args",
-    "plan_fingerprint",
-    # report
-    "DEFAULT_THRESHOLD",
-    "DEFAULT_WINDOW",
-    "LedgerReport",
-    "compare_metric",
-    "diff_ledger",
-    "run_report_command",
-    # runlog
-    "RunLog",
-    "current_runlog",
-    "emit",
-    "count",
-    # scaling
-    "DEFAULT_RANKS",
-    "ScalePoint",
-    "ScaleCaseResult",
-    "run_scale_point",
-    "run_scale_case",
-    "run_scale_sweep",
-    "assert_scaling_shape",
-    "run_scale_command",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "ledger": (
+        "DEFAULT_LEDGER_PATH", "LEDGER_SCHEMA", "LedgerRecord", "RunLedger", "append_run",
+        "ledger_path_from_args", "plan_fingerprint",
+    ),
+    "reduce": (
+        "CriticalPath", "KernelAggregate", "QueueUtilization", "RankReduction", "TraceReduction",
+        "reduce_trace",
+    ),
+    "report": (
+        "DEFAULT_THRESHOLD", "DEFAULT_WINDOW", "LedgerReport", "compare_metric", "diff_ledger",
+        "run_report_command",
+    ),
+    "runlog": ("RunLog", "count", "current_runlog", "emit"),
+    "scaling": (
+        "DEFAULT_RANKS", "ScaleCaseResult", "ScalePoint", "assert_scaling_shape", "run_scale_case",
+        "run_scale_command", "run_scale_point", "run_scale_sweep",
+    ),
+})

@@ -12,73 +12,21 @@ Two tuning regimes live here:
 All reported times are simulated seconds on the device clock.
 """
 
-from repro.optim.autotune import (
-    KernelObservation,
-    KernelPlan,
-    ProbeDegradedWarning,
-    ProbeResult,
-    ScheduleCandidate,
-    TuneRequest,
-    TuningPlan,
-    extract_observations,
-    load_plan,
-    options_with_plan,
-    run_probe,
-    transfer_overlap_seconds,
-    tune_case,
-)
-from repro.optim.transformations import (
-    loop_fission,
-    mark_uncoalesced,
-    with_transposition,
-    inline_receiver_loop,
-    remove_branches,
-    fuse_kernels,
-    collapse_nest,
-)
-from repro.optim.tuning import (
-    register_sweep,
-    RegisterSweepPoint,
-    best_register_count,
-    vector_length_sweep,
-    predict_best_launch,
-    fused_launch_estimate,
-    FusedLaunchEstimate,
-    async_comparison,
-    AsyncComparison,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    # transformations
-    "loop_fission",
-    "mark_uncoalesced",
-    "with_transposition",
-    "inline_receiver_loop",
-    "remove_branches",
-    "fuse_kernels",
-    "collapse_nest",
-    # static tuners
-    "register_sweep",
-    "RegisterSweepPoint",
-    "best_register_count",
-    "vector_length_sweep",
-    "predict_best_launch",
-    "fused_launch_estimate",
-    "FusedLaunchEstimate",
-    "async_comparison",
-    "AsyncComparison",
-    # closed-loop tuner
-    "KernelObservation",
-    "KernelPlan",
-    "ProbeDegradedWarning",
-    "ProbeResult",
-    "ScheduleCandidate",
-    "TuneRequest",
-    "TuningPlan",
-    "extract_observations",
-    "load_plan",
-    "options_with_plan",
-    "run_probe",
-    "transfer_overlap_seconds",
-    "tune_case",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "autotune": (
+        "KernelObservation", "KernelPlan", "ProbeDegradedWarning", "ProbeResult",
+        "ScheduleCandidate", "TuneRequest", "TuningPlan", "extract_observations", "load_plan",
+        "options_with_plan", "run_probe", "transfer_overlap_seconds", "tune_case",
+    ),
+    "transformations": (
+        "loop_fission", "mark_uncoalesced", "with_transposition", "inline_receiver_loop",
+        "remove_branches", "fuse_kernels", "collapse_nest",
+    ),
+    "tuning": (
+        "register_sweep", "RegisterSweepPoint", "best_register_count", "vector_length_sweep",
+        "predict_best_launch", "fused_launch_estimate", "FusedLaunchEstimate", "async_comparison",
+        "AsyncComparison",
+    ),
+})

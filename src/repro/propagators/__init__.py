@@ -13,29 +13,15 @@ analytic wavefront kinematics, energy decay in the absorbing layers, and
 convergence behaviour.
 """
 
-from repro.propagators.base import Propagator, PropagatorState
-from repro.propagators.cfl import (
-    max_stable_dt,
-    default_dt,
-)
-from repro.propagators.isotropic import IsotropicPropagator
-from repro.propagators.acoustic import AcousticPropagator
-from repro.propagators.elastic2d import ElasticPropagator2D
-from repro.propagators.elastic3d import ElasticPropagator3D
-from repro.propagators.vti import VTIPropagator
-from repro.propagators.factory import make_propagator, PHYSICS_NAMES, EXTENDED_PHYSICS_NAMES
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "Propagator",
-    "PropagatorState",
-    "max_stable_dt",
-    "default_dt",
-    "IsotropicPropagator",
-    "AcousticPropagator",
-    "ElasticPropagator2D",
-    "ElasticPropagator3D",
-    "VTIPropagator",
-    "make_propagator",
-    "PHYSICS_NAMES",
-    "EXTENDED_PHYSICS_NAMES",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "base": ("Propagator", "PropagatorState"),
+    "cfl": ("max_stable_dt", "default_dt"),
+    "isotropic": ("IsotropicPropagator",),
+    "acoustic": ("AcousticPropagator",),
+    "elastic2d": ("ElasticPropagator2D",),
+    "elastic3d": ("ElasticPropagator3D",),
+    "vti": ("VTIPropagator",),
+    "factory": ("make_propagator", "PHYSICS_NAMES", "EXTENDED_PHYSICS_NAMES"),
+})

@@ -24,60 +24,20 @@ Layout
     Seeded campaign runner behind ``python -m repro chaos``.
 ``report``
     :class:`ResilienceReport` (text/JSON).
-
-Only ``faults`` and ``report`` are imported eagerly: ``recovery`` and
-``chaos`` import the core pipelines, which themselves import this package's
-fault vocabulary — the lazy split keeps that cycle open.
 """
 
-from __future__ import annotations
+from repro.utils.lazy import lazy_exports
 
-from repro.resilience.faults import (  # noqa: F401
-    ALL_KINDS,
-    DEVICE_KINDS,
-    KIND_ALIASES,
-    MPI_KINDS,
-    PROTOCOL_KINDS,
-    SHOT_POISON,
-    FaultEvent,
-    FaultPlan,
-    FaultSpec,
-    parse_fault_spec,
-    parse_faults,
-)
-from repro.resilience.report import FaultOutcome, ResilienceReport  # noqa: F401
-
-_LAZY = {
-    "FaultInjector": ("repro.resilience.injector", "FaultInjector"),
-    "BoundInjector": ("repro.resilience.injector", "BoundInjector"),
-    "BackoffPolicy": ("repro.resilience.recovery", "BackoffPolicy"),
-    "CheckpointStore": ("repro.resilience.recovery", "CheckpointStore"),
-    "ResilientPipeline": ("repro.resilience.recovery", "ResilientPipeline"),
-    "ResilientMultiGpu": ("repro.resilience.recovery", "ResilientMultiGpu"),
-    "RecoveryStats": ("repro.resilience.recovery", "RecoveryStats"),
-    "run_chaos_case": ("repro.resilience.chaos", "run_chaos_case"),
-    "run_chaos_case_multigpu": (
-        "repro.resilience.chaos", "run_chaos_case_multigpu"
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "faults": (
+        "ALL_KINDS", "DEVICE_KINDS", "KIND_ALIASES", "MPI_KINDS", "PROTOCOL_KINDS", "SHOT_POISON",
+        "FaultEvent", "FaultPlan", "FaultSpec", "parse_fault_spec", "parse_faults",
     ),
-    "run_chaos_campaign": ("repro.resilience.chaos", "run_chaos_campaign"),
-}
-
-
-def __getattr__(name: str):
-    try:
-        module, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module 'repro.resilience' has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module), attr)
-
-
-__all__ = [
-    "ALL_KINDS", "DEVICE_KINDS", "MPI_KINDS", "PROTOCOL_KINDS",
-    "KIND_ALIASES", "SHOT_POISON",
-    "FaultSpec", "FaultPlan", "FaultEvent",
-    "parse_fault_spec", "parse_faults",
-    "FaultOutcome", "ResilienceReport",
-    *_LAZY,
-]
+    "report": ("FaultOutcome", "ResilienceReport"),
+    "injector": ("FaultInjector", "BoundInjector"),
+    "recovery": (
+        "BackoffPolicy", "CheckpointStore", "ResilientPipeline", "ResilientMultiGpu",
+        "RecoveryStats",
+    ),
+    "chaos": ("run_chaos_case", "run_chaos_case_multigpu", "run_chaos_campaign"),
+})

@@ -13,22 +13,10 @@ findings. ``python -m repro sanitize`` is the CLI; ``GPUOptions.sanitize``
 gates real runs on a sanitized dry run.
 """
 
-from repro.sanitize.drivers import (
-    check_sanitize,
-    sanitize_pipeline,
-    sanitize_script,
-)
-from repro.sanitize.fixit import ScriptFix, apply_fixes, collect_fixes
-from repro.sanitize.session import PASSES, SanitizeResult, SanitizeSession
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "SanitizeSession",
-    "SanitizeResult",
-    "PASSES",
-    "ScriptFix",
-    "apply_fixes",
-    "collect_fixes",
-    "sanitize_pipeline",
-    "sanitize_script",
-    "check_sanitize",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "drivers": ("check_sanitize", "sanitize_pipeline", "sanitize_script"),
+    "fixit": ("ScriptFix", "apply_fixes", "collect_fixes"),
+    "session": ("PASSES", "SanitizeResult", "SanitizeSession"),
+})

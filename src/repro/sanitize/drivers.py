@@ -18,8 +18,6 @@ of ``strict_lint``/:func:`repro.analyze.drivers.check_schedule`.
 from __future__ import annotations
 
 from repro.analyze.framework import Severity, refuse
-from repro.analyze.frontend import program_from_script
-from repro.analyze.program import ProgramMeta
 from repro.sanitize.session import SanitizeResult, SanitizeSession
 
 #: dry-run caps of the strict gate — the exchange pattern is periodic, so a
@@ -79,6 +77,9 @@ def sanitize_script(
     text: str, name: str = "script", stencil_radius: int | None = None
 ) -> SanitizeResult:
     """Replay an ``!$acc`` directive script through the sanitizer."""
+    from repro.analyze.frontend import program_from_script
+    from repro.analyze.program import ProgramMeta
+
     program = program_from_script(
         text, meta=ProgramMeta(source="script", name=name)
     )

@@ -9,45 +9,17 @@ fault-free serial stack (:mod:`repro.serve.campaign`, the
 ``python -m repro serve`` CLI).
 """
 
-from repro.serve.cache import CachedShot, ResultCache, ShotKey, model_hash
-from repro.serve.campaign import (
-    DEFAULT_SHOTS,
-    DEFAULT_WORKERS,
-    SERVE_CASES,
-    run_serve_case,
-    run_serve_command,
-    run_serve_sweep,
-    serve_case_config,
-)
-from repro.serve.queue import (
-    AdmissionError,
-    PoisonShotError,
-    QueueFullError,
-    ShotJob,
-    ShotQueue,
-    SurveyRejectedError,
-)
-from repro.serve.service import ServiceResult, SurveyScheduler, WorkerNode
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "model_hash",
-    "ShotKey",
-    "CachedShot",
-    "ResultCache",
-    "AdmissionError",
-    "SurveyRejectedError",
-    "QueueFullError",
-    "PoisonShotError",
-    "ShotJob",
-    "ShotQueue",
-    "WorkerNode",
-    "ServiceResult",
-    "SurveyScheduler",
-    "SERVE_CASES",
-    "DEFAULT_SHOTS",
-    "DEFAULT_WORKERS",
-    "serve_case_config",
-    "run_serve_case",
-    "run_serve_sweep",
-    "run_serve_command",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "cache": ("CachedShot", "ResultCache", "ShotKey", "model_hash"),
+    "campaign": (
+        "DEFAULT_SHOTS", "DEFAULT_WORKERS", "SERVE_CASES", "run_serve_case", "run_serve_command",
+        "run_serve_sweep", "serve_case_config",
+    ),
+    "queue": (
+        "AdmissionError", "PoisonShotError", "QueueFullError", "ShotJob", "ShotQueue",
+        "SurveyRejectedError",
+    ),
+    "service": ("ServiceResult", "SurveyScheduler", "WorkerNode"),
+})

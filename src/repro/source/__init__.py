@@ -1,20 +1,9 @@
 """Seismic sources, receivers and acquisition geometry."""
 
-from repro.source.wavelets import (
-    ricker,
-    integrated_ricker,
-)
-from repro.source.injection import PointSource, inject, extract
-from repro.source.acquisition import Receivers, Shot, line_receivers, grid_receivers
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "ricker",
-    "integrated_ricker",
-    "PointSource",
-    "inject",
-    "extract",
-    "Receivers",
-    "Shot",
-    "line_receivers",
-    "grid_receivers",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "wavelets": ("ricker", "integrated_ricker"),
+    "injection": ("PointSource", "inject", "extract"),
+    "acquisition": ("Receivers", "Shot", "line_receivers", "grid_receivers"),
+})

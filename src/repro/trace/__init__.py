@@ -19,31 +19,13 @@ Quickstart::
 or from the command line: ``python -m repro trace iso2d --out trace.json``.
 """
 
-from repro.trace.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.trace.tracer import INSTANT, NULL_TRACER, SPAN, TraceEvent, Tracer
-from repro.trace.export import (
-    summary_text,
-    to_jsonl,
-    to_perfetto,
-    validate_perfetto,
-    write_jsonl,
-    write_perfetto,
-)
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "Tracer",
-    "TraceEvent",
-    "NULL_TRACER",
-    "SPAN",
-    "INSTANT",
-    "summary_text",
-    "to_jsonl",
-    "to_perfetto",
-    "validate_perfetto",
-    "write_jsonl",
-    "write_perfetto",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    "tracer": ("INSTANT", "NULL_TRACER", "SPAN", "TraceEvent", "Tracer"),
+    "export": (
+        "summary_text", "to_jsonl", "to_perfetto", "validate_perfetto", "write_jsonl",
+        "write_perfetto",
+    ),
+})
