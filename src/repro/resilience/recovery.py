@@ -253,6 +253,23 @@ class _Guard:
             **args,
         )
 
+    def retry(self, label: str, attempt: int, exc: Exception, undo=None) -> int:
+        """The retry rung for a transient fault on attempt ``attempt``:
+        escalate to a restart once the retry budget is spent, else run
+        ``undo`` (when given) and wait out the backoff. A string ``undo``
+        returns joins the action note. Returns the next attempt."""
+        self.stats.detected += 1
+        if attempt >= self.backoff.max_retries:
+            raise _RestartNeeded(exc)
+        with self._span(f"retry:{label}", attempt=attempt, error=str(exc)):
+            detail = undo() if undo is not None else None
+            self._wait(attempt)
+        attempt += 1
+        self.stats.retries += 1
+        detail = f", {detail}" if detail else ""
+        self.stats.note(f"retry {label} (attempt {attempt}{detail}): {exc}", kind="retry")
+        return attempt
+
     def run(self, label: str, op, pipeline: OffloadPipeline, phase: str,
             reset=None):
         """Run ``op`` under the ladder. ``phase`` is the pipeline phase the
@@ -266,16 +283,7 @@ class _Guard:
             try:
                 return op()
             except _TRANSIENT as exc:
-                self.stats.detected += 1
-                if attempt >= self.backoff.max_retries:
-                    raise _RestartNeeded(exc)
-                with self._span(f"retry:{label}", attempt=attempt, error=str(exc)):
-                    if reset is not None:
-                        reset()
-                    self._wait(attempt)
-                attempt += 1
-                self.stats.retries += 1
-                self.stats.note(f"retry {label} (attempt {attempt}): {exc}", kind="retry")
+                attempt = self.retry(label, attempt, exc, reset)
             except DeviceECCError as exc:
                 # device memory is corrupt — re-running the op would compute
                 # on garbage; only a checkpoint restart re-uploads good state
@@ -681,13 +689,9 @@ class ResilientMultiGpu:
         for rc in self.mgp.ranks:
             rc.sub.gather_into(self.global_field, rc.host_field)
 
-    def _guard(self) -> _Guard:
-        clock = self.mgp.ranks[0].pipe.rt.device.clock
-        tracer = self.tracer if self.tracer is not None else NULL_TRACER
-        return _Guard(
-            self.injector, self.backoff, self.stats, tracer, clock, "modeling",
-            self.max_restarts, self._reside,
-        )
+    def _clock(self):
+        """Rank 0's device clock, the one recovery is charged to."""
+        return self.mgp.ranks[0].pipe.rt.device.clock
 
     # ------------------------------------------------------------------
     # the host physics: deterministic, halo-dependent axis-0 smoothing
@@ -731,17 +735,9 @@ class ResilientMultiGpu:
                 self.mgp.exchange(name)
                 return
             except (CommunicationError,) + _TRANSIENT as exc:
-                self.stats.detected += 1
-                if attempt >= self.backoff.max_retries:
-                    raise _RestartNeeded(exc)
-                with guard._span("retry:exchange", attempt=attempt, error=str(exc)):
-                    dropped = self.mgp.mpi.flush()
-                    guard._wait(attempt)
-                attempt += 1
-                self.stats.retries += 1
-                self.stats.note(
-                    f"retry exchange (attempt {attempt}, flushed {dropped}): {exc}",
-                    kind="retry",
+                attempt = guard.retry(
+                    "exchange", attempt, exc,
+                    lambda: f"flushed {self.mgp.mpi.flush()}",
                 )
 
     def _reside(self, phase: str) -> None:
@@ -759,20 +755,21 @@ class ResilientMultiGpu:
         self.mgp.mpi.flush()
         self._scatter()
 
-    def _redecompose(self, exc: DeviceLostError, phase: str) -> None:
+    def _redecompose(self, guard: _Guard, exc: DeviceLostError, phase: str) -> None:
         """The dead-rank rung: the card is gone but every host slab is
-        intact — gather, rebuild on the survivors, scatter, re-upload."""
+        intact — gather, rebuild on the survivors, scatter, re-upload.
+        Recovery is charged to the new rank 0's clock from here on."""
         if self.ngpus <= 1:
             raise exc  # nothing left to decompose onto
         self.stats.detected += 1
         old = self.ngpus
-        guard = self._guard()
         with guard._span(
             "redecompose", from_ranks=old, to_ranks=old - 1, error=str(exc),
         ):
             self._gather()
             self.injector.resolve(RANK_DEAD)
             self._build(old - 1)
+            guard.clock = self._clock()
             for rc in self.mgp.ranks:
                 rc.pipe.restore_residency(phase)
         action = f"re-decompose:{old}->{old - 1}"
@@ -791,11 +788,12 @@ class ResilientMultiGpu:
             period = max(1, nt // 4)
         ckpts = {"forward": CheckpointStore(nt, period), "backward": CheckpointStore(nt, period)}
         store = SnapshotStore(snap_period) if mode == "rtm" else None
-        guard = self._guard()
+        guard = _Guard(
+            self.injector, self.backoff, self.stats, self.tracer, self._clock(),
+            "modeling", self.max_restarts, self._reside,
+        )
 
         def begin(loop: str, it: int) -> None:
-            nonlocal guard
-            guard = self._guard()  # rank 0's clock may change on rebuild
             if ckpts[loop].is_checkpoint_step(it):
                 self._gather()
                 state = {"global": self.global_field.copy()}
@@ -827,7 +825,7 @@ class ResilientMultiGpu:
                 try:
                     guard.run(method, getattr(rc.pipe, method), rc.pipe, phase)
                 except DeviceLostError as exc:
-                    self._redecompose(exc, phase)
+                    self._redecompose(guard, exc, phase)
                     raise _RestartNeeded(exc)
             self._exchange(guard, exchanged)
 

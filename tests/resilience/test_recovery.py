@@ -190,6 +190,23 @@ class TestResilientMultiGpu:
         assert len(r.injector.events) >= 1
         assert np.array_equal(out, self._expected())
 
+    def test_retries_in_different_iterations_draw_one_jitter_stream(self):
+        # ops 5 and 40 fail in different forward iterations; each costs one
+        # first-attempt backoff, and the two waits are successive draws of
+        # the run's one RNG stream, not the same draw twice
+        plan = FaultPlan(specs=(
+            FaultSpec("kernel-launch", op_index=5),
+            FaultSpec("kernel-launch", op_index=40),
+        ))
+        r, out = self._run(plan=plan)
+        assert r.stats.retries == 2
+        policy = BackoffPolicy(seed=1)
+        rng = policy.rng()
+        first, second = policy.delay(0, rng), policy.delay(0, rng)
+        assert r.stats.recovery_cost_s == first + second
+        assert r.stats.recovery_cost_s != 2 * first
+        assert np.array_equal(out, self._expected())
+
     def test_dead_rank_redecomposes_and_finishes(self):
         plan = FaultPlan(specs=(FaultSpec("rank-dead", op_index=6, rank=1),))
         r, out = self._run(plan=plan)
