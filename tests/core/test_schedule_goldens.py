@@ -400,15 +400,15 @@ GOLDENS: dict[str, str] = {
     "resilient_multi/modeling-ecc-late": "0f10fe1ebd85b35472da21b0ba4908fb4a568b6d937192ecf9f60a6945636fb9",
     "resilient_multi/modeling-mpi-drop": "fb34a8ef17dea1e21a2687c8a382a7b00b0e4e0c7aa9840c15a4d98f32209092",
     "resilient_multi/modeling-pcie-transient": "3584e655270cb9cfb19399e81bda1b0c2552ada94c78a8b606e9e1e04802504f",
-    "resilient_multi/modeling-rank-dead": "d1ef8883afa0dcc64cf32aa573fdf403b84acc75f1d6e86ddee102d0acec8c4c",
+    "resilient_multi/modeling-rank-dead": "59b6623e7a636ca066b6fde22d754b253e0e06e6f1d689415d9c75974f91c49f",
     "resilient_multi/modeling-rank-dead-late": "50ebec68512161dde82dc9a8ce6c278aa834ad6aa9eb117c7b2c21e96663def4",
     "resilient_multi/rtm-clean": "596ecfecf0d34588742610ff5d8f8e80658f4d25641b292ca79e787def7db24c",
     "resilient_multi/rtm-ecc": "7b3ee7aa27b24b0311c7f42790858c8b670f5497baa507b87dae1d72eddc8d1c",
     "resilient_multi/rtm-ecc-late": "5c539e17de09cab9b43b9af365828128e4c8bd5f70d804b92dc7fcdc75b5b63e",
     "resilient_multi/rtm-mpi-drop": "da71819b40a65532925ca9de448804dd4b840c709f39f12149f5120ea8e4a264",
     "resilient_multi/rtm-pcie-transient": "878ba1a77c4dc754d321f5cbdfa05d04d402db86f57c1ab13818dd1ea78794f7",
-    "resilient_multi/rtm-rank-dead": "615dc894e2cd2936c3cd2e2a0d4506cf80d68bf7232f7512b07195b9e70274b5",
-    "resilient_multi/rtm-rank-dead-late": "68bc4ca992c528f5ef30a0eb9179f7a2671e7b763010e9a1c318ade7da500360",
+    "resilient_multi/rtm-rank-dead": "7aaa519d31184fd03b78e0cf7e3d8b3e110c614e16db9b49129e92abbc3bed61",
+    "resilient_multi/rtm-rank-dead-late": "d0ecd7ad9d022893b867852c5ff9108c77d8c662dc3731e36fa250ea4a4c68eb",
     "run_modeling/ac2d-attached": "75886c6b1fdfd5989970c3405742b4f0fd63ae15ff788c6855b2afc0ba6a5e06",
     "run_modeling/ac2d-host": "99349460acadad6a9d2b9fbcb29f96218671cc2a776b94c3af788d6ed38375fe",
     "run_modeling/ac3d-host": "c7ded8959cc1f74e02ebc1bf5f713ddfd4abdfdfd23ca9251f2c82e18bcd991b",

@@ -57,13 +57,13 @@ GOLDENS = {
     ),
     "chaos iso2d --ranks 2 --format json": (
         ["chaos", "iso2d", "--ranks", "2", "--format", "json", "--no-ledger"],
-        "3d079d71f642ffacaa98dd1d31b38afb71dbdeace88406038da6fa9e17beda2f",
+        "bc8d223e5088eb682539cccd677a213bd349fb1c5942648a4c611df992c25bde",
     ),
     "serve iso2d --workers 2 --gpus 2 --faults mpi-rank-dead@x1": (
         ["serve", "iso2d", "--workers", "2", "--gpus", "2", "--faults",
          "mpi-rank-dead@x1", "--format", "json", "--out", "{out}",
          "--no-ledger"],
-        "e100fe25d0f31b96103fea507ea650764fad128a1f32e96928f1042e60075df8",
+        "54d9307cb54095c72a1b9549a1bbbccf073e8f882ad4865257c78db833684bd9",
     ),
 }
 
