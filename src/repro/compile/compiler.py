@@ -48,6 +48,7 @@ from repro.analyze.dataflow import (
     validate_opportunities,
     verify_opportunity,
 )
+from repro.analyze.framework import Severity
 from repro.analyze.program import AccEvent, DirectiveProgram
 from repro.analyze.recorder import ProgramRecorder
 from repro.compile.lower import (
@@ -57,6 +58,7 @@ from repro.compile.lower import (
     bind_ops,
     lower_events,
 )
+from repro.compile.validate import validate_compiled, validate_opportunity
 from repro.core.config import GpuTimes, GPUOptions
 from repro.core.pipeline import device_times, offload_visitor, walk_offload
 from repro.core.schedule import PHASES, REPEATED_PHASES, figure4, walk
@@ -400,9 +402,6 @@ def _cross_phase_selection(
     the replay re-proof on every periodic occurrence pair — the static
     proof is what unlocks the boundary, the replay stays as backstop.
     """
-    from repro.analyze.framework import Severity
-    from repro.compile.validate import validate_opportunity
-
     program = recording.program
     seg_b = _cross_phase_candidate(recording, opp, seg_a)
     if seg_b is None:
@@ -930,9 +929,6 @@ def _validate_compiled_or_raise(
     """The pre-replay gate: run the translation validator and refuse any
     ERROR finding before the bitwise backstop even starts.  The report is
     attached to the pipeline either way (``compiled.validation``)."""
-    from repro.analyze.framework import Severity
-    from repro.compile.validate import validate_compiled
-
     report = validate_compiled(compiled, recording)
     compiled.validation = report
     if not report.ok:
